@@ -1,32 +1,21 @@
 """Symmetric group character values over the integers.
 
 Irreducible values come from the Murnaghan-Nakayama recursion on border-strip
-removals, memoized process-wide so repeated decompositions share work. The
-memo can be bounded, persisted, and reloaded across runs.
+removals, memoized process-wide so repeated decompositions share work.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from foulkes.partitions import (
     Partition,
     border_strip_removals,
-    centralizer_order,
     conjugate,
-    enum_partitions,
-    format_partition,
-    parse_partition,
     validate_partition,
 )
-
-CACHE_FORMAT = 1
-
-_cache: dict[tuple[Partition, Partition], int] = {}
-_cache_limit: int | None = None
 
 
 def mn_char(lam: Partition, mu: Partition) -> int:
@@ -41,25 +30,15 @@ def mn_char(lam: Partition, mu: Partition) -> int:
     return _mn(lam, mu)
 
 
+@lru_cache(maxsize=None)
 def _mn(shape: Partition, cycles: Partition) -> int:
     if not cycles:
         return 1
-    key = (shape, cycles)
-    hit = _cache.get(key)
-    if hit is not None:
-        if _cache_limit is not None:
-            # refresh recency so the bounded cache evicts stale keys first
-            del _cache[key]
-            _cache[key] = hit
-        return hit
     total = 0
     rest = cycles[1:]
     for smaller, height in border_strip_removals(shape, cycles[0]):
         value = _mn(smaller, rest)
         total += -value if height % 2 else value
-    if _cache_limit is not None and len(_cache) >= _cache_limit:
-        _cache.pop(next(iter(_cache)))
-    _cache[key] = total
     return total
 
 
@@ -78,14 +57,6 @@ def dimension(lam: Partition) -> int:
     return num // hooks
 
 
-def char_row(lam: Partition, classes: list[Partition] | None = None) -> dict[Partition, int]:
-    """Values of the irreducible character on each class, keyed by cycle type."""
-    lam = validate_partition(lam)
-    if classes is None:
-        classes = enum_partitions(sum(lam))
-    return {mu: mn_char(lam, mu) for mu in classes}
-
-
 @dataclass(frozen=True)
 class ClassFunction:
     """Integer-valued class function on a symmetric group, one value per cycle type."""
@@ -96,86 +67,7 @@ class ClassFunction:
     def __call__(self, mu: Partition) -> int:
         return self.values[tuple(sorted(mu, reverse=True))]
 
-    def to_json_dict(self) -> dict:
-        rows = [
-            {"mu": format_partition(mu), "value": self.values[mu]}
-            for mu in sorted(self.values, reverse=True)
-        ]
-        return {"degree": self.degree, "values": rows}
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ClassFunction":
-        values = {}
-        for row in payload["values"]:
-            mu = parse_partition(row["mu"]) if row["mu"] else ()
-            values[mu] = int(row["value"])
-        return cls(degree=int(payload["degree"]), values=values)
-
-
-def young_perm_char(lam: Partition) -> ClassFunction:
-    """Character of the permutation action on cosets of the Young subgroup of lam."""
-    from foulkes import symfunc
-
-    lam = validate_partition(lam)
-    series = symfunc.h_series(0)
-    for part in lam:
-        series = symfunc.multiply(series, symfunc.h_series(part))
-    return symfunc.to_class_function(series)
-
-
-def inner_cf(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """Standard character inner product; exact."""
-    if f.degree != g.degree:
-        raise ValueError("class functions live on different groups")
-    total = Fraction(0)
-    for mu, value in f.values.items():
-        total += Fraction(value * g.values[mu], centralizer_order(mu))
-    return total
-
-
-def clear_cache() -> None:
-    _cache.clear()
-
 
 def cache_size() -> int:
-    return len(_cache)
-
-
-def set_cache_limit(limit: int | None) -> None:
-    """Bound the memo at `limit` entries (None removes the bound)."""
-    global _cache_limit
-    if limit is not None and limit < 1:
-        raise ValueError("cache limit must be >= 1 or None")
-    _cache_limit = limit
-    while limit is not None and len(_cache) > limit:
-        _cache.pop(next(iter(_cache)))
-
-
-def save_cache(path) -> None:
-    payload = {"format": CACHE_FORMAT, "entries": dict(_cache)}
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def load_cache(path) -> int:
-    """Merge a saved memo into the live one; returns entries loaded.
-
-    Unreadable or wrong-format files load nothing rather than raising, so a
-    stale cache directory never blocks a computation.
-    """
-    try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
-            return 0
-        entries = payload["entries"]
-    except (OSError, pickle.UnpicklingError, KeyError, EOFError, AttributeError):
-        return 0
-    loaded = 0
-    for key, value in entries.items():
-        if _cache_limit is not None and len(_cache) >= _cache_limit:
-            break
-        if key not in _cache:
-            _cache[key] = value
-            loaded += 1
-    return loaded
+    """Number of (shape, cycle type) values held by the process-wide memo."""
+    return _mn.cache_info().currsize

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from foulkes import characters
-from foulkes.characters import CACHE_FORMAT
 from foulkes.decomposition import (
     DecompositionTable,
     FoulkesShape,
@@ -38,8 +37,6 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERRUPT = 4
 
-CACHE_FILE = f"character-cache-v{CACHE_FORMAT}.pkl"
-
 _SIZE_GUARD_NOTE = (
     "--max-ab bounds the degree for multiplicity, decompose, verify and "
     "restrict; census is capped at degree 30 unless --allow-large is given.")
@@ -47,6 +44,16 @@ _SIZE_GUARD_NOTE = (
 
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+
+
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("nan is not a number of seconds")
+    return value
 
 
 def _parse_opt_partition(text: str):
@@ -157,10 +164,11 @@ def cmd_hook_coords(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for expansions (default: all cores)")
+                        help="worker processes for expansions, capped at the core "
+                             "count (default: all cores)")
     common.add_argument("--max-ab", type=int, default=20,
                         help="refuse degrees above this (default 20)")
-    common.add_argument("--time-limit", type=float, default=None, metavar="SECONDS",
+    common.add_argument("--time-limit", type=_seconds, default=None, metavar="SECONDS",
                         help="wall-clock budget; exceeding it exits 3")
 
     parser = argparse.ArgumentParser(
@@ -229,12 +237,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (None, 0) else EXIT_INPUT
 
-    cache_path = None
-    cache_dir = os.environ.get("FOULKES_CACHE_DIR")
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, CACHE_FILE)
-        characters.load_cache(cache_path)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -248,12 +250,6 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except KeyboardInterrupt:
         return EXIT_INTERRUPT
-    finally:
-        if cache_path is not None:
-            try:
-                characters.save_cache(cache_path)
-            except OSError:
-                pass
 
 
 if __name__ == "__main__":

@@ -81,15 +81,6 @@ def dominates(lam: Partition, mu: Partition) -> bool:
     return True
 
 
-def is_subpartition(lam: Partition, mu: Partition) -> bool:
-    """Row comparison lam_j <= mu_j restricted to rows both partitions have.
-
-    Rows beyond the shorter partition are ignored, so a longer lam can still
-    pass. For honest diagram containment use fits_inside.
-    """
-    return all(x <= y for x, y in zip(lam, mu))
-
-
 def fits_inside(lam: Partition, mu: Partition) -> bool:
     """True iff the diagram of lam is contained cell-by-cell in that of mu."""
     return len(lam) <= len(mu) and all(x <= y for x, y in zip(lam, mu))

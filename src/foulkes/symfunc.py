@@ -8,10 +8,12 @@ what the Foulkes computations lean on.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from foulkes.characters import ClassFunction, mn_char
 from foulkes.partitions import (
@@ -19,8 +21,6 @@ from foulkes.partitions import (
     border_strip_additions,
     centralizer_order,
     enum_partitions,
-    format_partition,
-    parse_partition,
     validate_partition,
 )
 
@@ -51,53 +51,24 @@ class PSeries:
     def __getitem__(self, mu) -> Fraction:
         return self.coeffs.get(tuple(mu), Fraction(0))
 
-    def to_json_dict(self) -> dict:
-        terms = [
-            {
-                "mu": format_partition(mu),
-                "num": str(self.coeffs[mu].numerator),
-                "den": str(self.coeffs[mu].denominator),
-            }
-            for mu in sorted(self.coeffs, reverse=True)
-        ]
-        return {"degree": self.degree, "terms": terms}
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "PSeries":
-        coeffs = {}
-        for term in payload["terms"]:
-            mu = parse_partition(term["mu"]) if term["mu"] else ()
-            coeffs[mu] = Fraction(int(term["num"]), int(term["den"]))
-        return cls(degree=int(payload["degree"]), coeffs=coeffs)
-
-
-_h_cache: dict[int, PSeries] = {}
-_e_cache: dict[int, PSeries] = {}
-
-
+@lru_cache(maxsize=None)
 def h_series(n: int) -> PSeries:
     """Complete homogeneous symmetric function of degree n."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    got = _h_cache.get(n)
-    if got is None:
-        got = PSeries(n, {
-            mu: Fraction(1, centralizer_order(mu)) for mu in enum_partitions(n)})
-        _h_cache[n] = got
-    return got
+    return PSeries(n, {
+        mu: Fraction(1, centralizer_order(mu)) for mu in enum_partitions(n)})
 
 
+@lru_cache(maxsize=None)
 def e_series(n: int) -> PSeries:
     """Elementary symmetric function of degree n."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    got = _e_cache.get(n)
-    if got is None:
-        got = PSeries(n, {
-            mu: Fraction((-1) ** (n - len(mu)), centralizer_order(mu))
-            for mu in enum_partitions(n)})
-        _e_cache[n] = got
-    return got
+    return PSeries(n, {
+        mu: Fraction((-1) ** (n - len(mu)), centralizer_order(mu))
+        for mu in enum_partitions(n)})
 
 
 def schur_series(lam: Partition) -> PSeries:
@@ -129,38 +100,24 @@ def plethysm_power(k: int, f: PSeries) -> PSeries:
         tuple(k * m for m in mu): c for mu, c in f.coeffs.items()})
 
 
-_pleth_memo: dict[tuple[int, int, tuple], PSeries] = {}
-
-
 def plethysm_h(b: int, f: PSeries) -> PSeries:
     """Plethysm of the complete homogeneous function of degree b with f.
 
     Uses the Newton-style recursion b*g_b = sum_k (p_k composed with f) * g_(b-k),
-    which stays in the power-sum basis throughout. Intermediate stages are
-    memoized by the content of f, so reruns and smaller b come back instantly.
+    which stays in the power-sum basis throughout.
     """
     if b < 0:
         raise ValueError("degree must be >= 0")
-    content = tuple(sorted(f.coeffs.items()))
-    hit = _pleth_memo.get((b, f.degree, content))
-    if hit is not None:
-        return hit
     stages = [PSeries(0, {(): Fraction(1)})]
     powers = {}
     for j in range(1, b + 1):
-        prior = _pleth_memo.get((j, f.degree, content))
-        if prior is not None:
-            stages.append(prior)
-            continue
         acc: dict[Partition, Fraction] = {}
         for k in range(1, j + 1):
             if k not in powers:
                 powers[k] = plethysm_power(k, f)
             for mu, c in multiply(powers[k], stages[j - k]).coeffs.items():
                 acc[mu] = acc.get(mu, Fraction(0)) + c
-        stage = PSeries(j * f.degree, {mu: c / j for mu, c in acc.items()})
-        _pleth_memo[(j, f.degree, content)] = stage
-        stages.append(stage)
+        stages.append(PSeries(j * f.degree, {mu: c / j for mu, c in acc.items()}))
     return stages[b]
 
 
@@ -188,11 +145,6 @@ def to_class_function(f: PSeries) -> ClassFunction:
     return ClassFunction(degree=f.degree, values=values)
 
 
-def from_class_function(cf: ClassFunction) -> PSeries:
-    return PSeries(cf.degree, {
-        mu: Fraction(v, centralizer_order(mu)) for mu, v in cf.values.items()})
-
-
 def schur_expansion(f: PSeries, max_rows: int | None = None, jobs: int = 1,
                     deadline: float | None = None) -> dict[Partition, Fraction]:
     """Expand f over Schur functions: the returned dict maps shape to coefficient.
@@ -208,6 +160,7 @@ def schur_expansion(f: PSeries, max_rows: int | None = None, jobs: int = 1,
     stop = None if deadline is None else time.monotonic() + deadline
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or len(items) < 4 * jobs:
         return _expand_items(items, max_rows, stop)
 

@@ -11,14 +11,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from foulkes.decomposition import (
-    FoulkesShape,
-    GeneralizedShape,
-    decompose,
-    foulkes_series,
-)
+from foulkes.decomposition import FoulkesShape, GeneralizedShape, decompose
 from foulkes.partitions import (
     Partition,
     count_box_partitions,
@@ -27,7 +21,6 @@ from foulkes.partitions import (
     to_hook_coords,
     validate_partition,
 )
-from foulkes.symfunc import schur_expansion
 
 
 class Verdict(Enum):
@@ -219,15 +212,10 @@ def census(a: int, b: int, jobs: int = 1,
     """
     shape = FoulkesShape(a, b)
     start = time.perf_counter()
-    expansion = schur_expansion(foulkes_series(a, b), max_rows=b,
-                                jobs=jobs, deadline=deadline)
-    total = zero = predicted = 0
-    for lam in enum_partitions(shape.degree, max_parts=b):
-        total += 1
-        actual = expansion.get(lam, Fraction(0))
-        if actual.denominator != 1 or actual < 0:
-            raise ArithmeticError(f"multiplicity of {lam} came out {actual}")
-        actual = int(actual)
+    table = decompose(shape, keep=enum_partitions(shape.degree, max_parts=b),
+                      jobs=jobs, deadline=deadline)
+    zero = predicted = 0
+    for lam, actual in table.entries:
         if actual == 0:
             zero += 1
         hit = False
@@ -242,7 +230,7 @@ def census(a: int, b: int, jobs: int = 1,
         if hit:
             predicted += 1
     elapsed = time.perf_counter() - start
-    return CensusReport(a=a, b=b, total=total, zero=zero,
+    return CensusReport(a=a, b=b, total=len(table.entries), zero=zero,
                         predicted=predicted, elapsed_seconds=elapsed)
 
 

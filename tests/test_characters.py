@@ -1,18 +1,12 @@
-import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from foulkes import characters
-from foulkes.characters import (
-    ClassFunction,
-    char_row,
-    dimension,
-    inner_cf,
-    mn_char,
-    young_perm_char,
-)
-from foulkes.partitions import conjugate, enum_partitions
+from foulkes.characters import dimension, mn_char
+from foulkes.partitions import centralizer_order, conjugate, enum_partitions
+from foulkes.symfunc import h_series, multiply, to_class_function
 from oracles import oracle_char_table, oracle_young_value
 from strats import partitions
 
@@ -33,7 +27,7 @@ def test_oracle_matches_frozen_rows():
 def test_against_oracle(n):
     table = oracle_char_table(n)
     for lam in enum_partitions(n):
-        assert char_row(lam) == table[lam]
+        assert {mu: mn_char(lam, mu) for mu in enum_partitions(n)} == table[lam]
 
 
 def test_frozen_values():
@@ -79,87 +73,29 @@ def test_dimension_is_identity_column(lam):
 
 
 def test_young_perm_char_matches_oracle():
+    # h_lam = h_lam1 * h_lam2 * ... is the Young subgroup's permutation character
     for n in range(1, 7):
         for lam in enum_partitions(n):
-            got = young_perm_char(lam)
+            series = h_series(0)
+            for part in lam:
+                series = multiply(series, h_series(part))
+            got = to_class_function(series)
             assert got.degree == n
             for mu in enum_partitions(n):
                 assert got.values[mu] == oracle_young_value(lam, mu)
 
 
 def test_inner_cf_orthonormality():
-    rows = {lam: ClassFunction(6, char_row(lam)) for lam in enum_partitions(6)}
+    classes = enum_partitions(6)
+    rows = {lam: [mn_char(lam, mu) for mu in classes] for lam in classes}
     for lam, f in rows.items():
-        for mu, g in rows.items():
-            assert inner_cf(f, g) == (1 if lam == mu else 0)
+        for nu, g in rows.items():
+            pairing = sum(Fraction(x * y, centralizer_order(mu))
+                          for x, y, mu in zip(f, g, classes))
+            assert pairing == (1 if lam == nu else 0)
 
 
-def test_inner_cf_degree_mismatch():
-    f = ClassFunction(2, char_row((2,)))
-    g = ClassFunction(3, char_row((3,)))
-    with pytest.raises(ValueError):
-        inner_cf(f, g)
-
-
-def test_class_function_json_round_trip():
-    f = young_perm_char((2, 1))
-    payload = f.to_json_dict()
-    assert payload["degree"] == 3
-    assert all(isinstance(row["value"], int) for row in payload["values"])
-    assert ClassFunction.from_json_dict(payload) == f
-
-
-def test_class_function_json_empty_class_label():
-    f = ClassFunction(0, {(): 1})
-    assert f.to_json_dict()["values"] == [{"mu": "", "value": 1}]
-    assert ClassFunction.from_json_dict(f.to_json_dict()) == f
-
-
-class TestCacheAdmin:
-    def setup_method(self):
-        characters.set_cache_limit(None)
-        characters.clear_cache()
-
-    def teardown_method(self):
-        characters.set_cache_limit(None)
-
-    def test_limit_is_enforced(self):
-        characters.set_cache_limit(16)
-        char_row((4, 3, 2, 1))
-        assert characters.cache_size() <= 16
-
-    def test_lowering_limit_evicts(self):
-        char_row((3, 2, 1))
-        assert characters.cache_size() > 4
-        characters.set_cache_limit(4)
-        assert characters.cache_size() <= 4
-
-    def test_limit_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            characters.set_cache_limit(0)
-
-    def test_save_load_round_trip(self, tmp_path):
-        char_row((4, 2))
-        saved = characters.cache_size()
-        path = tmp_path / "cache.pkl"
-        characters.save_cache(path)
-        characters.clear_cache()
-        assert characters.cache_size() == 0
-        assert characters.load_cache(path) == saved
-        assert characters.cache_size() == saved
-
-    def test_load_garbage_is_silent(self, tmp_path):
-        path = tmp_path / "junk.pkl"
-        path.write_bytes(b"not a pickle")
-        assert characters.load_cache(path) == 0
-        path.write_bytes(pickle.dumps({"format": -1, "entries": {}}))
-        assert characters.load_cache(path) == 0
-        assert characters.load_cache(tmp_path / "missing.pkl") == 0
-
-    def test_values_survive_reload(self, tmp_path):
-        expected = char_row((4, 3, 1))
-        path = tmp_path / "cache.pkl"
-        characters.save_cache(path)
-        characters.clear_cache()
-        characters.load_cache(path)
-        assert char_row((4, 3, 1)) == expected
+def test_cache_size_counts_memo_entries():
+    before = characters.cache_size()
+    mn_char((9, 7, 5, 3, 1), (5, 5, 5, 5, 5))
+    assert characters.cache_size() > before

@@ -1,6 +1,12 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
 
+import foulkes
 from foulkes import cli
+from foulkes.characters import mn_char
 from foulkes.cli import (
     EXIT_BUDGET,
     EXIT_DISCREPANCY,
@@ -164,6 +170,13 @@ class TestFailurePaths:
         assert code == EXIT_BUDGET
         assert "time limit" in err
 
+    def test_time_limit_nan_rejected(self, capsys):
+        for argv in (("decompose", "3", "4", "--jobs", "1"),
+                     ("census", "3", "6", "--jobs", "2")):
+            code, out, err = run(capsys, *argv, "--time-limit", "nan")
+            assert (code, out) == (EXIT_INPUT, "")
+            assert "--time-limit" in err
+
     def test_interrupt_maps_to_its_code(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise KeyboardInterrupt
@@ -180,18 +193,27 @@ class TestFailurePaths:
 
 
 class TestCharacterCacheDir:
-    def test_cache_file_created_and_reused(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("FOULKES_CACHE_DIR", str(tmp_path))
-        assert run(capsys, "multiplicity", "2", "4", "4,4")[0] == EXIT_OK
-        cache_file = tmp_path / cli.CACHE_FILE
-        assert cache_file.exists()
-        before = cache_file.stat().st_size
-        assert before > 0
-        assert run(capsys, "multiplicity", "2", "4", "4,4")[0] == EXIT_OK
-        assert cache_file.stat().st_size >= before
+    """Files in FOULKES_CACHE_DIR are never read: the variable is ignored."""
 
-    def test_missing_dir_is_created(self, capsys, monkeypatch, tmp_path):
-        target = tmp_path / "nested" / "cache"
-        monkeypatch.setenv("FOULKES_CACHE_DIR", str(target))
-        assert run(capsys, "multiplicity", "2", "2", "2,2")[0] == EXIT_OK
-        assert (target / cli.CACHE_FILE).exists()
+    def cold_cli(self, cache_dir, *argv):
+        env = dict(os.environ, FOULKES_CACHE_DIR=str(cache_dir),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(foulkes.__file__)))
+        return subprocess.run([sys.executable, "-m", "foulkes.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_poisoned_cache_is_ignored(self, tmp_path):
+        # the identity-class value of (5,2,2) is off by one: read, it would
+        # make the multiplicity 1297/1296
+        entries = {((5, 2, 2), (1,) * 9): mn_char((5, 2, 2), (1,) * 9) + 1}
+        (tmp_path / "character-cache-v1.pkl").write_bytes(
+            pickle.dumps({"format": 1, "entries": entries}))
+        done = self.cold_cli(tmp_path, "multiplicity", "3", "3", "5,2,2")
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert '"mult":1' in done.stdout
+
+    def test_malformed_cache_is_ignored(self, tmp_path):
+        (tmp_path / "character-cache-v1.pkl").write_bytes(
+            pickle.dumps({"format": 1, "entries": [1, 2, 3]}))
+        done = self.cold_cli(tmp_path, "multiplicity", "2", "2", "2,2")
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert '"mult":1' in done.stdout

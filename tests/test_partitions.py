@@ -16,7 +16,6 @@ from foulkes.partitions import (
     format_partition,
     from_hook_coords,
     hook_leg,
-    is_subpartition,
     parse_partition,
     pieri_add,
     to_hook_coords,
@@ -91,17 +90,15 @@ class TestOrders:
             sum(padded_l[: i + 1]) >= sum(padded_m[: i + 1]) for i in range(width))
         assert dominates(lam, mu) == expected
 
-    def test_subpartition_ignores_extra_rows(self):
-        # rows past the shorter partition do not count, unlike containment
-        assert is_subpartition((1, 1, 1), (2, 2))
+    def test_containment_counts_extra_rows(self):
         assert not fits_inside((1, 1, 1), (2, 2))
         assert fits_inside((2, 1), (2, 2))
-        assert not is_subpartition((3,), (2, 2))
 
     @given(partitions(), partitions())
     def test_containment_implies_row_comparison(self, lam, mu):
         if fits_inside(lam, mu):
-            assert is_subpartition(lam, mu)
+            padded = mu + (0,) * len(lam)
+            assert all(x <= y for x, y in zip(lam, padded))
 
 
 class TestHooks:

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from foulkes.characters import char_row
-from foulkes.partitions import enum_partitions
+from foulkes import symfunc
+from foulkes.characters import mn_char
+from foulkes.partitions import centralizer_order, enum_partitions
 from foulkes.symfunc import (
     ComputeBudgetExceeded,
     PSeries,
     e_series,
-    from_class_function,
     h_series,
     inner,
     multiply,
@@ -42,22 +42,6 @@ class TestPSeries:
         assert h_series(2)[(1, 1)] == F(1, 2)
         assert schur_series((1, 1))[(2,)] == F(-1, 2)
 
-    def test_json_round_trip(self):
-        f = schur_series((3, 1))
-        payload = f.to_json_dict()
-        assert payload["degree"] == 4
-        assert all(isinstance(t["num"], str) and isinstance(t["den"], str)
-                   for t in payload["terms"])
-        labels = [t["mu"] for t in payload["terms"]]
-        assert labels == sorted(labels, key=lambda s: tuple(map(int, s.split(","))),
-                                reverse=True)
-        assert PSeries.from_json_dict(payload) == f
-
-    def test_json_empty_index(self):
-        f = h_series(0)
-        assert f.to_json_dict()["terms"] == [{"mu": "", "num": "1", "den": "1"}]
-        assert PSeries.from_json_dict(f.to_json_dict()) == f
-
 
 class TestGenerators:
     def test_h_frozen(self):
@@ -82,7 +66,8 @@ class TestGenerators:
 
     @given(partitions(min_weight=1, max_weight=8))
     def test_schur_series_realizes_character(self, lam):
-        assert to_class_function(schur_series(lam)).values == char_row(lam)
+        assert to_class_function(schur_series(lam)).values == {
+            mu: mn_char(lam, mu) for mu in enum_partitions(sum(lam))}
 
 
 class TestAlgebra:
@@ -124,7 +109,9 @@ class TestClassFunctionBridge:
     @given(partitions(min_weight=1, max_weight=8))
     def test_round_trip(self, lam):
         f = schur_series(lam)
-        assert from_class_function(to_class_function(f)) == f
+        cf = to_class_function(f)
+        assert PSeries(cf.degree, {
+            mu: F(v, centralizer_order(mu)) for mu, v in cf.values.items()}) == f
 
     def test_non_integral_rejected(self):
         bad = PSeries(1, {(1,): F(1, 2)})
@@ -203,3 +190,17 @@ class TestSchurExpansion:
     def test_jobs_validated(self):
         with pytest.raises(ValueError):
             schur_expansion(h_series(2), jobs=0)
+
+    def test_pool_capped_at_core_count(self, monkeypatch):
+        sizes = []
+
+        class NoPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                raise RuntimeError("stub pool starts no process")
+
+        monkeypatch.setattr(symfunc, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(symfunc.os, "cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match="stub pool"):
+            schur_expansion(plethysm_h(6, h_series(2)), jobs=64)
+        assert sizes == [2]
