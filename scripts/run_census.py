@@ -13,35 +13,47 @@ import json
 import os
 import sys
 
+from foulkes.cli import EXIT_BUDGET, EXIT_DISCREPANCY, _seconds
+from foulkes.decomposition import FoulkesShape
+from foulkes.symfunc import ComputeBudgetExceeded
 from foulkes.vanishing import census
 
 
-def parse_pairs(texts):
-    pairs = []
-    for text in texts:
-        a, _, b = text.partition(",")
-        pairs.append((int(a), int(b)))
-    return pairs
+def board(text: str) -> tuple[int, int]:
+    """A,B names b blocks of size a; argparse reports a ValueError as bad input."""
+    a, b = map(int, text.split(","))
+    FoulkesShape(a, b)
+    return a, b
+
+
+def jobs(text: str) -> int:
+    if int(text) < 1:
+        raise ValueError("--jobs must be >= 1")
+    return int(text)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-a", type=int, default=3)
     parser.add_argument("--max-b", type=int, default=6)
-    parser.add_argument("--pairs", nargs="*", default=None, metavar="A,B",
+    parser.add_argument("--pairs", nargs="*", type=board, default=None, metavar="A,B",
                         help="explicit boards instead of the full grid")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--time-limit", type=float, default=None,
-                        help="budget per board, seconds")
+    parser.add_argument("--jobs", type=jobs, default=os.cpu_count() or 1)
+    parser.add_argument("--time-limit", type=_seconds, default=None,
+                        help="budget per board, seconds; exceeding it exits 3")
     args = parser.parse_args(argv)
 
-    if args.pairs:
-        boards = parse_pairs(args.pairs)
-    else:
-        boards = [(a, b) for a in range(1, args.max_a + 1)
-                  for b in range(1, args.max_b + 1)]
+    boards = args.pairs or [(a, b) for a in range(1, args.max_a + 1)
+                            for b in range(1, args.max_b + 1)]
     for a, b in boards:
-        report = census(a, b, jobs=args.jobs, deadline=args.time_limit)
+        try:
+            report = census(a, b, jobs=args.jobs, deadline=args.time_limit)
+        except ComputeBudgetExceeded as exc:
+            print(f"error: a={a} b={b}: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except ArithmeticError as exc:
+            print(f"claim violation: a={a} b={b}: {exc}", file=sys.stderr)
+            return EXIT_DISCREPANCY
         print(json.dumps(report.to_json_dict(), separators=(",", ":")), flush=True)
     return 0
 

@@ -12,12 +12,11 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from foulkes import symfunc
-from foulkes.characters import dimension, mn_char
+from foulkes.characters import dimension
 from foulkes.partitions import (
     Partition,
     dominates,
@@ -108,21 +107,13 @@ def gen_foulkes_series(shape: GeneralizedShape) -> symfunc.PSeries:
     return series
 
 
-def _series_multiplicity(series: symfunc.PSeries, lam: Partition) -> int:
-    """Inner product of the series with the Schur function of lam, sparsely.
-
-    Only the series support is visited: the Schur coefficient on a power sum
-    is the character value over the centralizer order, and the weight in the
-    inner product cancels that order exactly.
-    """
-    total = Fraction(0)
-    for mu, c in series.coeffs.items():
-        total += c * mn_char(lam, mu)
-    if total.denominator != 1:
-        raise ArithmeticError(f"multiplicity of {lam} came out {total}, not an integer")
-    if total < 0:
-        raise ArithmeticError(f"multiplicity of {lam} came out negative: {total}")
-    return int(total)
+def _exact(label: str, value) -> int:
+    """A multiplicity or pairing as an int; it must be a whole number >= 0."""
+    if value.denominator != 1:
+        raise ArithmeticError(f"{label} came out {value}, not an integer")
+    if value < 0:
+        raise ArithmeticError(f"{label} came out negative: {value}")
+    return int(value)
 
 
 def multiplicity(shape: FoulkesShape, lam, use_fastpath: bool = True) -> int:
@@ -140,7 +131,8 @@ def multiplicity(shape: FoulkesShape, lam, use_fastpath: bool = True) -> int:
             return 0
         if not dominates(lam, shape.blocks_partition):
             return 0
-    return _series_multiplicity(foulkes_series(shape.a, shape.b), lam)
+    return _exact(f"multiplicity of {lam}",
+                  symfunc.schur_coefficient(foulkes_series(shape.a, shape.b), lam))
 
 
 def gen_multiplicity(shape: GeneralizedShape, lam, use_fastpath: bool = True) -> int:
@@ -150,7 +142,8 @@ def gen_multiplicity(shape: GeneralizedShape, lam, use_fastpath: bool = True) ->
         raise ValueError(f"{lam} is not a partition of {shape.degree}")
     if use_fastpath and not dominates(lam, shape.blocks_partition):
         return 0
-    return _series_multiplicity(gen_foulkes_series(shape), lam)
+    return _exact(f"multiplicity of {lam}",
+                  symfunc.schur_coefficient(gen_foulkes_series(shape), lam))
 
 
 def exterior_pairing(shape: FoulkesShape, k: int) -> int:
@@ -158,10 +151,7 @@ def exterior_pairing(shape: FoulkesShape, k: int) -> int:
     if not 0 <= k <= shape.degree:
         raise ValueError(f"k must lie in 0..{shape.degree}")
     probe = symfunc.multiply(symfunc.e_series(k), symfunc.h_series(shape.degree - k))
-    value = symfunc.inner(foulkes_series(shape.a, shape.b), probe)
-    if value.denominator != 1:
-        raise ArithmeticError(f"pairing came out {value}, not an integer")
-    return int(value)
+    return _exact("pairing", symfunc.inner(foulkes_series(shape.a, shape.b), probe))
 
 
 def orbit_size(a: int, b: int, lam) -> int:
@@ -235,7 +225,8 @@ def decompose(shape: FoulkesShape, keep=None, use_fastpath: bool = True,
     The fast path caps inserted shapes at b rows (exact, shapes with more
     rows cannot appear); use_fastpath=False runs the expansion unpruned so
     the structural zeros are recomputed the hard way. `keep` restricts the
-    rows of the table to the given shapes.
+    rows of the table to the given shapes. Every run checks that the
+    expansion accounts for every set partition: sum of mult * dim = |Omega|.
     """
     max_rows = shape.b if use_fastpath else None
     expansion = symfunc.schur_expansion(
@@ -248,12 +239,12 @@ def decompose(shape: FoulkesShape, keep=None, use_fastpath: bool = True,
         for lam in rows:
             if sum(lam) != shape.degree:
                 raise ValueError(f"{lam} is not a partition of {shape.degree}")
-    entries = []
-    for lam in rows:
-        c = expansion.get(lam, Fraction(0))
-        if c.denominator != 1:
-            raise ArithmeticError(f"multiplicity of {lam} came out {c}, not an integer")
-        if c < 0:
-            raise ArithmeticError(f"multiplicity of {lam} came out negative: {c}")
-        entries.append((lam, int(c)))
-    return DecompositionTable(a=shape.a, b=shape.b, entries=tuple(entries))
+    entries = tuple(
+        (lam, _exact(f"multiplicity of {lam}", expansion.get(lam, 0)))
+        for lam in rows)
+    total = sum(c * dimension(lam) for lam, c in expansion.items())
+    if total != shape.omega_size:
+        raise ArithmeticError(
+            f"{shape.a}x{shape.b} table: sum of mult * dim is {total}, "
+            f"not |Omega| = {shape.omega_size}")
+    return DecompositionTable(a=shape.a, b=shape.b, entries=entries)

@@ -1,9 +1,10 @@
-"""Symmetric functions in the power-sum basis, with exact rational coefficients.
+"""Symmetric functions in the power-sum basis, with exact integer coefficients.
 
-A homogeneous symmetric function of degree n is stored sparsely as a map from
-cycle types (partitions of n) to Fractions. This basis makes multiplication a
-multiset merge and plethysm by a power sum a simple index rescaling, which is
-what the Foulkes computations lean on.
+A homogeneous symmetric function f of degree n is stored sparsely as a map from
+cycle types mu to the int n! * [p_mu] f: for a character, the sum of its values
+over the class mu. Only the public rational values divide by n!. This basis
+makes multiplication a multiset merge and plethysm by a power sum a simple
+index rescaling, which is what the Foulkes computations lean on.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, factorial
 
 from foulkes.characters import ClassFunction, mn_char
 from foulkes.partitions import (
@@ -31,25 +33,26 @@ class ComputeBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class PSeries:
-    """Homogeneous symmetric function, coefficients on power-sum basis elements."""
+    """Homogeneous symmetric function: coeffs[mu] = degree! * [p_mu] f, an int."""
 
     degree: int
-    coeffs: dict[Partition, Fraction]
+    coeffs: dict[Partition, int]
 
     def __post_init__(self):
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[Partition, int] = {}
         for mu, c in self.coeffs.items():
             mu = validate_partition(mu)
             if sum(mu) != self.degree:
                 raise ValueError(
                     f"index {mu} has weight {sum(mu)}, series degree is {self.degree}")
-            c = Fraction(c)
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} on {mu} is not an int")
             if c:
                 clean[mu] = c
         object.__setattr__(self, "coeffs", clean)
 
     def __getitem__(self, mu) -> Fraction:
-        return self.coeffs.get(tuple(mu), Fraction(0))
+        return Fraction(self.coeffs.get(tuple(mu), 0), factorial(self.degree))
 
 
 @lru_cache(maxsize=None)
@@ -58,7 +61,7 @@ def h_series(n: int) -> PSeries:
     if n < 0:
         raise ValueError("degree must be >= 0")
     return PSeries(n, {
-        mu: Fraction(1, centralizer_order(mu)) for mu in enum_partitions(n)})
+        mu: factorial(n) // centralizer_order(mu) for mu in enum_partitions(n)})
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +70,7 @@ def e_series(n: int) -> PSeries:
     if n < 0:
         raise ValueError("degree must be >= 0")
     return PSeries(n, {
-        mu: Fraction((-1) ** (n - len(mu)), centralizer_order(mu))
+        mu: (-1) ** (n - len(mu)) * (factorial(n) // centralizer_order(mu))
         for mu in enum_partitions(n)})
 
 
@@ -76,19 +79,18 @@ def schur_series(lam: Partition) -> PSeries:
     lam = validate_partition(lam)
     n = sum(lam)
     return PSeries(n, {
-        mu: Fraction(mn_char(lam, mu), centralizer_order(mu))
+        mu: mn_char(lam, mu) * (factorial(n) // centralizer_order(mu))
         for mu in enum_partitions(n)})
 
 
 def multiply(f: PSeries, g: PSeries) -> PSeries:
     """Product of symmetric functions; indices merge as multisets."""
-    out: dict[Partition, Fraction] = {}
+    scale = comb(f.degree + g.degree, f.degree)
+    out: dict[Partition, int] = {}
     for mu, c in f.coeffs.items():
         for nu, d in g.coeffs.items():
             key = tuple(sorted(mu + nu, reverse=True))
-            prev = out.get(key)
-            cd = c * d
-            out[key] = cd if prev is None else prev + cd
+            out[key] = out.get(key, 0) + c * d * scale
     return PSeries(f.degree + g.degree, out)
 
 
@@ -96,8 +98,9 @@ def plethysm_power(k: int, f: PSeries) -> PSeries:
     """Plethysm of the k-th power sum with f: every index scales by k."""
     if k < 1:
         raise ValueError("power-sum index must be >= 1")
+    scale = factorial(k * f.degree) // factorial(f.degree)
     return PSeries(k * f.degree, {
-        tuple(k * m for m in mu): c for mu, c in f.coeffs.items()})
+        tuple(k * m for m in mu): c * scale for mu, c in f.coeffs.items()})
 
 
 def plethysm_h(b: int, f: PSeries) -> PSeries:
@@ -108,16 +111,18 @@ def plethysm_h(b: int, f: PSeries) -> PSeries:
     """
     if b < 0:
         raise ValueError("degree must be >= 0")
-    stages = [PSeries(0, {(): Fraction(1)})]
+    stages = [PSeries(0, {(): 1})]
     powers = {}
     for j in range(1, b + 1):
-        acc: dict[Partition, Fraction] = {}
+        acc: dict[Partition, int] = {}
         for k in range(1, j + 1):
             if k not in powers:
                 powers[k] = plethysm_power(k, f)
             for mu, c in multiply(powers[k], stages[j - k]).coeffs.items():
-                acc[mu] = acc.get(mu, Fraction(0)) + c
-        stages.append(PSeries(j * f.degree, {mu: c / j for mu, c in acc.items()}))
+                acc[mu] = acc.get(mu, 0) + c
+        if any(c % j for c in acc.values()):
+            raise ArithmeticError(f"plethysm stage {j} is not divisible by {j}")
+        stages.append(PSeries(j * f.degree, {mu: c // j for mu, c in acc.items()}))
     return stages[b]
 
 
@@ -126,22 +131,34 @@ def inner(f: PSeries, g: PSeries) -> Fraction:
     if f.degree != g.degree:
         raise ValueError("inner product needs equal degrees")
     small, large = (f.coeffs, g.coeffs) if len(f.coeffs) <= len(g.coeffs) else (g.coeffs, f.coeffs)
-    total = Fraction(0)
+    total = 0
     for mu, c in small.items():
         d = large.get(mu)
         if d is not None:
             total += c * d * centralizer_order(mu)
-    return total
+    return Fraction(total, factorial(f.degree) ** 2)
+
+
+def schur_coefficient(f: PSeries, lam: Partition) -> Fraction:
+    """Coefficient of the Schur function s_lam in f, visiting only f's support.
+
+    The Schur coefficient on a power sum is the character value over the
+    centralizer order, and the weight in the inner product cancels that
+    order exactly.
+    """
+    total = sum(c * mn_char(lam, mu) for mu, c in f.coeffs.items())
+    return Fraction(total, factorial(f.degree))
 
 
 def to_class_function(f: PSeries) -> ClassFunction:
     """Reinterpret f as the class function it represents; must be integer valued."""
     values = {}
     for mu in enum_partitions(f.degree):
-        v = f.coeffs.get(mu, Fraction(0)) * centralizer_order(mu)
-        if v.denominator != 1:
-            raise ValueError(f"value on class {mu} is {v}, not an integer")
-        values[mu] = int(v)
+        z = centralizer_order(mu)
+        v, rem = divmod(f.coeffs.get(mu, 0) * z, factorial(f.degree))
+        if rem:
+            raise ValueError(f"value on class {mu} is {f[mu] * z}, not an integer")
+        values[mu] = v
     return ClassFunction(degree=f.degree, values=values)
 
 
@@ -149,55 +166,54 @@ def schur_expansion(f: PSeries, max_rows: int | None = None, jobs: int = 1,
                     deadline: float | None = None) -> dict[Partition, Fraction]:
     """Expand f over Schur functions: the returned dict maps shape to coefficient.
 
-    Walks the support as a prefix trie, keeping a running bag of shapes built
-    by inserting one border strip per cycle length; partial insertions shared
-    by many cycle types are computed once. With max_rows set, shapes are
-    pruned the moment they grow too many rows, which is exact because strip
-    insertion never shrinks the row count. `deadline` is a wall-clock budget
-    in seconds; `jobs` > 1 splits the support across worker processes.
+    Walks the support as a prefix trie over the cycle parts, smallest first,
+    keeping a running bag of shapes built by inserting one border strip per
+    cycle length; partial insertions shared by many cycle types are computed
+    once. With max_rows set, shapes are pruned the moment they grow too many
+    rows, which is exact because strip insertion never shrinks the row count.
+    `deadline` is a wall-clock budget in seconds; `jobs` > 1 splits the
+    support across worker processes.
     """
-    items = sorted(f.coeffs.items())
-    stop = None if deadline is None else time.monotonic() + deadline
+    items = sorted((mu[::-1], c) for mu, c in f.coeffs.items())
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or len(items) < 4 * jobs:
-        return _expand_items(items, max_rows, stop)
+        out = _expand_items(items, max_rows, deadline)
+    else:
+        width = max(1, len(items) // (4 * jobs))
+        chunks = [items[i:i + width] for i in range(0, len(items), width)]
+        stop = None if deadline is None else time.monotonic() + deadline
+        out = {}
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            budget = None if stop is None else max(stop - time.monotonic(), 0.001)
+            pending = {pool.submit(_expand_items, chunk, max_rows, budget)
+                       for chunk in chunks}
+            try:
+                while pending:
+                    remaining = None if stop is None else stop - time.monotonic()
+                    if remaining is not None and remaining <= 0:
+                        raise ComputeBudgetExceeded("schur expansion passed its time limit")
+                    done, pending = wait(pending, timeout=remaining,
+                                         return_when=FIRST_COMPLETED)
+                    if not done and pending:
+                        raise ComputeBudgetExceeded("schur expansion passed its time limit")
+                    for fut in done:
+                        for shape, c in fut.result().items():
+                            out[shape] = out.get(shape, 0) + c
+            finally:
+                for fut in pending:
+                    fut.cancel()
+    scale = factorial(f.degree)
+    return {shape: Fraction(c, scale) for shape, c in out.items() if c}
 
-    width = max(1, len(items) // (4 * jobs))
-    chunks = [items[i:i + width] for i in range(0, len(items), width)]
-    out: dict[Partition, Fraction] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        budget = None if stop is None else max(stop - time.monotonic(), 0.001)
-        pending = {pool.submit(_expand_chunk, chunk, max_rows, budget)
-                   for chunk in chunks}
-        try:
-            while pending:
-                remaining = None if stop is None else stop - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise ComputeBudgetExceeded("schur expansion passed its time limit")
-                done, pending = wait(pending, timeout=remaining,
-                                     return_when=FIRST_COMPLETED)
-                if not done and pending:
-                    raise ComputeBudgetExceeded("schur expansion passed its time limit")
-                for fut in done:
-                    for shape, c in fut.result().items():
-                        out[shape] = out.get(shape, Fraction(0)) + c
-        finally:
-            for fut in pending:
-                fut.cancel()
-    return {shape: c for shape, c in out.items() if c}
 
-
-def _expand_chunk(items, max_rows, budget):
+def _expand_items(items, max_rows, budget) -> dict[Partition, int]:
+    """Strip-insertion sums over sorted (ascending parts, coeff) items, within `budget` s."""
     stop = None if budget is None else time.monotonic() + budget
-    return _expand_items(items, max_rows, stop)
+    out: dict[Partition, int] = {}
 
-
-def _expand_items(items, max_rows, stop) -> dict[Partition, Fraction]:
-    out: dict[Partition, Fraction] = {}
-
-    def rec(lo: int, hi: int, depth: int, state: dict[Partition, Fraction]) -> None:
+    def rec(lo: int, hi: int, depth: int, state: dict[Partition, int]) -> None:
         if stop is not None and time.monotonic() > stop:
             raise ComputeBudgetExceeded("schur expansion passed its time limit")
         i = lo
@@ -206,25 +222,21 @@ def _expand_items(items, max_rows, stop) -> dict[Partition, Fraction]:
             if len(mu) == depth:
                 c = items[i][1]
                 for shape, m in state.items():
-                    prev = out.get(shape)
-                    cm = c * m
-                    out[shape] = cm if prev is None else prev + cm
+                    out[shape] = out.get(shape, 0) + c * m
                 i += 1
                 continue
             part = mu[depth]
             j = i
             while j < hi and len(items[j][0]) > depth and items[j][0][depth] == part:
                 j += 1
-            nxt: dict[Partition, Fraction] = {}
+            nxt: dict[Partition, int] = {}
             for shape, m in state.items():
                 for nshape, height in border_strip_additions(shape, part, max_rows):
-                    delta = -m if height % 2 else m
-                    prev = nxt.get(nshape)
-                    nxt[nshape] = delta if prev is None else prev + delta
+                    nxt[nshape] = nxt.get(nshape, 0) + (-m if height % 2 else m)
             nxt = {k: v for k, v in nxt.items() if v}
             if nxt:
                 rec(i, j, depth + 1, nxt)
             i = j
 
-    rec(0, len(items), 0, {(): Fraction(1)})
+    rec(0, len(items), 0, {(): 1})
     return {shape: c for shape, c in out.items() if c}

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
+from foulkes import cli, symfunc
 from foulkes.bruteforce import brute_foulkes_char
 from foulkes.decomposition import (
     DecompositionTable,
@@ -192,3 +195,45 @@ class TestDecompose:
 
     def test_parallel_agrees(self):
         assert decompose(FoulkesShape(2, 6), jobs=3) == decompose(FoulkesShape(2, 6))
+
+    def test_table_must_account_for_every_set_partition(self, monkeypatch, capsys):
+        expand = symfunc.schur_expansion
+
+        def off_by_one(*args, **kwargs):
+            out = expand(*args, **kwargs)
+            out[(6,)] += 1
+            return out
+
+        monkeypatch.setattr(symfunc, "schur_expansion", off_by_one)
+        with pytest.raises(ArithmeticError, match=r"2x3 table: .* is 16, not \|Omega\| = 15"):
+            decompose(FoulkesShape(2, 3))
+        assert cli.main(["decompose", "2", "3"]) == cli.EXIT_DISCREPANCY
+        out, err = capsys.readouterr()
+        assert out == "" and "2x3 table" in err
+
+
+class TestExactness:
+    """Every multiplicity and pairing passes one integrality and sign check."""
+
+    BAD = [(Fraction(1, 2), "came out 1/2, not an integer"),
+           (Fraction(-1), "came out negative: -1")]
+
+    @pytest.mark.parametrize("value, message", BAD)
+    def test_decompose_names_the_shape(self, monkeypatch, value, message):
+        monkeypatch.setattr(symfunc, "schur_expansion", lambda *a, **k: {(4, 2): value})
+        with pytest.raises(ArithmeticError, match=rf"multiplicity of \(4, 2\) {message}"):
+            decompose(FoulkesShape(2, 3))
+
+    @pytest.mark.parametrize("value, message", BAD)
+    def test_multiplicity_names_the_shape(self, monkeypatch, value, message):
+        monkeypatch.setattr(symfunc, "schur_coefficient", lambda *a: value)
+        with pytest.raises(ArithmeticError, match=rf"multiplicity of \(4, 2\) {message}"):
+            multiplicity(FoulkesShape(2, 3), (4, 2))
+        with pytest.raises(ArithmeticError, match=rf"multiplicity of \(4, 2\) {message}"):
+            gen_multiplicity(GeneralizedShape(((2, 3),)), (4, 2))
+
+    @pytest.mark.parametrize("value, message", BAD)
+    def test_pairing_checked(self, monkeypatch, value, message):
+        monkeypatch.setattr(symfunc, "inner", lambda *a: value)
+        with pytest.raises(ArithmeticError, match=f"pairing {message}"):
+            exterior_pairing(FoulkesShape(2, 3), 1)

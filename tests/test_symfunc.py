@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from foulkes.symfunc import (
     multiply,
     plethysm_h,
     plethysm_power,
+    schur_coefficient,
     schur_expansion,
     schur_series,
     to_class_function,
@@ -26,16 +28,22 @@ F = Fraction
 
 class TestPSeries:
     def test_zero_coefficients_dropped(self):
-        f = PSeries(2, {(2,): F(0), (1, 1): F(1, 2)})
-        assert f.coeffs == {(1, 1): F(1, 2)}
+        f = PSeries(2, {(2,): 0, (1, 1): 1})
+        assert f.coeffs == {(1, 1): 1}
+        assert f[(1, 1)] == F(1, 2)
+
+    @pytest.mark.parametrize("c", [F(1, 2), F(1), 0.5, 1.0])
+    def test_non_int_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match="not an int"):
+            PSeries(2, {(1, 1): c})
 
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PSeries(3, {(2,): F(1)})
+            PSeries(3, {(2,): 1})
 
     def test_noncanonical_index_rejected(self):
         with pytest.raises(ValueError):
-            PSeries(3, {(1, 2): F(1)})
+            PSeries(3, {(1, 2): 1})
 
     def test_getitem_defaults_to_zero(self):
         assert h_series(2)[(2,)] == F(1, 2)
@@ -45,13 +53,16 @@ class TestPSeries:
 
 class TestGenerators:
     def test_h_frozen(self):
-        assert h_series(0).coeffs == {(): F(1)}
-        assert h_series(1).coeffs == {(1,): F(1)}
-        assert h_series(2).coeffs == {(2,): F(1, 2), (1, 1): F(1, 2)}
+        # n! [p_mu] h_n is the size of the class mu
+        assert h_series(0).coeffs == {(): 1}
+        assert h_series(1).coeffs == {(1,): 1}
+        assert h_series(2).coeffs == {(2,): 1, (1, 1): 1}
+        assert h_series(3).coeffs == {(3,): 2, (2, 1): 3, (1, 1, 1): 1}
 
     def test_e_frozen(self):
-        assert e_series(0).coeffs == {(): F(1)}
-        assert e_series(2).coeffs == {(2,): F(-1, 2), (1, 1): F(1, 2)}
+        assert e_series(0).coeffs == {(): 1}
+        assert e_series(2).coeffs == {(2,): -1, (1, 1): 1}
+        assert e_series(3).coeffs == {(3,): 2, (2, 1): -3, (1, 1, 1): 1}
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -73,13 +84,14 @@ class TestGenerators:
 class TestAlgebra:
     def test_multiply_merges_indices(self):
         sq = multiply(h_series(1), h_series(1))
-        assert sq.coeffs == {(1, 1): F(1)}
+        assert sq.coeffs == {(1, 1): 2}
+        assert sq[(1, 1)] == 1
 
     def test_h2_sum_with_e2(self):
         lhs = multiply(h_series(1), h_series(1)).coeffs
         rhs = {}
         for mu, c in list(h_series(2).coeffs.items()) + list(e_series(2).coeffs.items()):
-            rhs[mu] = rhs.get(mu, F(0)) + c
+            rhs[mu] = rhs.get(mu, 0) + c
         assert lhs == {mu: c for mu, c in rhs.items() if c}
 
     @given(partitions(max_weight=6), partitions(max_weight=6))
@@ -97,6 +109,12 @@ class TestAlgebra:
             return
         assert inner(schur_series(lam), schur_series(mu)) == (1 if lam == mu else 0)
 
+    @given(partitions(max_weight=5), st.integers(0, 3), st.data())
+    def test_schur_coefficient_is_inner_product(self, mu, k, data):
+        f = multiply(schur_series(mu), e_series(k))
+        lam = data.draw(st.sampled_from(enum_partitions(sum(mu) + k)))
+        assert schur_coefficient(f, lam) == inner(f, schur_series(lam))
+
     def test_kostka_numbers_from_h_products(self):
         # <h_2 h_1, s_lam> counts fillings: one each for (3) and (2,1)
         f = multiply(h_series(2), h_series(1))
@@ -110,18 +128,23 @@ class TestClassFunctionBridge:
     def test_round_trip(self, lam):
         f = schur_series(lam)
         cf = to_class_function(f)
+        n = factorial(cf.degree)
         assert PSeries(cf.degree, {
-            mu: F(v, centralizer_order(mu)) for mu, v in cf.values.items()}) == f
+            mu: v * n // centralizer_order(mu) for mu, v in cf.values.items()}) == f
 
     def test_non_integral_rejected(self):
-        bad = PSeries(1, {(1,): F(1, 2)})
-        with pytest.raises(ValueError):
+        # p_3 / 6 takes the value z_(3) / 6 = 1/2 on the 3-cycles
+        bad = PSeries(3, {(3,): 1})
+        with pytest.raises(ValueError, match="1/2, not an integer"):
             to_class_function(bad)
 
 
 class TestPlethysm:
     def test_power_scales_indices(self):
-        assert plethysm_power(2, h_series(2)).coeffs == {(4,): F(1, 2), (2, 2): F(1, 2)}
+        # p_2[h_2] = (p_4 + p_2^2) / 2; 4! / 2 = 12 on each index
+        f = plethysm_power(2, h_series(2))
+        assert f.coeffs == {(4,): 12, (2, 2): 12}
+        assert f[(4,)] == f[(2, 2)] == F(1, 2)
 
     def test_power_rejects_bad_index(self):
         with pytest.raises(ValueError):
@@ -129,7 +152,7 @@ class TestPlethysm:
 
     def test_identity_cases(self):
         assert plethysm_h(1, h_series(3)) == h_series(3)
-        assert plethysm_h(0, h_series(3)).coeffs == {(): F(1)}
+        assert plethysm_h(0, h_series(3)).coeffs == {(): 1}
         for b in range(5):
             assert plethysm_h(b, h_series(1)) == h_series(b)
 
@@ -165,7 +188,7 @@ class TestSchurExpansion:
             series = multiply(series, h_series(part))
         expansion = schur_expansion(series)
         for mu in enum_partitions(sum(lam)):
-            assert expansion.get(mu, F(0)) == inner(series, schur_series(mu))
+            assert expansion.get(mu, 0) == inner(series, schur_series(mu))
 
     @given(partitions(min_weight=1, max_weight=7), st.integers(1, 5))
     def test_row_cap_is_a_filter(self, lam, cap):
