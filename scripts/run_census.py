@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from foulkes.cli import EXIT_BUDGET, EXIT_DISCREPANCY, _seconds
+from foulkes.cli import EXIT_BUDGET, EXIT_DISCREPANCY, _jobs, _seconds
 from foulkes.decomposition import FoulkesShape
 from foulkes.symfunc import ComputeBudgetExceeded
 from foulkes.vanishing import census
@@ -26,19 +26,13 @@ def board(text: str) -> tuple[int, int]:
     return a, b
 
 
-def jobs(text: str) -> int:
-    if int(text) < 1:
-        raise ValueError("--jobs must be >= 1")
-    return int(text)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-a", type=int, default=3)
     parser.add_argument("--max-b", type=int, default=6)
     parser.add_argument("--pairs", nargs="*", type=board, default=None, metavar="A,B",
                         help="explicit boards instead of the full grid")
-    parser.add_argument("--jobs", type=jobs, default=os.cpu_count() or 1)
+    parser.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     parser.add_argument("--time-limit", type=_seconds, default=None,
                         help="budget per board, seconds; exceeding it exits 3")
     args = parser.parse_args(argv)

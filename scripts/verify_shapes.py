@@ -13,19 +13,14 @@ import os
 import sys
 import time
 
+from foulkes.cli import _jobs
 from foulkes.vanishing import verify_all
-
-
-def jobs(text: str) -> int:
-    if int(text) < 1:
-        raise ValueError("--jobs must be >= 1")
-    return int(text)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-degree", type=int, default=12)
-    parser.add_argument("--jobs", type=jobs, default=os.cpu_count() or 1)
+    parser.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     args = parser.parse_args(argv)
 
     boards = [(a, b) for a in range(1, args.max_degree + 1)

@@ -56,6 +56,16 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _jobs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
 def _parse_opt_partition(text: str):
     return () if text == "" else parse_partition(text)
 
@@ -163,7 +173,7 @@ def cmd_hook_coords(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    common.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
                         help="worker processes for expansions, capped at the core "
                              "count (default: all cores)")
     common.add_argument("--max-ab", type=int, default=20,

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial
 
 from foulkes.characters import ClassFunction, mn_char
@@ -22,9 +23,16 @@ from foulkes.partitions import (
     Partition,
     border_strip_additions,
     centralizer_order,
+    count_box_partitions,
     enum_partitions,
     validate_partition,
 )
+
+
+# Support size times target shapes below which a pool costs more than it saves:
+# on 2 cores, boards under 60k ran up to 5x slower pooled, and every board past
+# 87k ran faster.
+_POOL_MIN_WORK = 1 << 16
 
 
 class ComputeBudgetExceeded(RuntimeError):
@@ -171,46 +179,35 @@ def schur_expansion(f: PSeries, max_rows: int | None = None, jobs: int = 1,
     cycle length; partial insertions shared by many cycle types are computed
     once. With max_rows set, shapes are pruned the moment they grow too many
     rows, which is exact because strip insertion never shrinks the row count.
-    `deadline` is a wall-clock budget in seconds; `jobs` > 1 splits the
-    support across worker processes.
+    `deadline` is one wall-clock budget in seconds for the whole expansion,
+    which the worker processes honour too. `jobs` > 1 splits the support
+    across that many workers, at most one per core, but only when support
+    size times target shapes reaches _POOL_MIN_WORK; smaller expansions run
+    in-process whatever `jobs` is.
     """
     items = sorted((mu[::-1], c) for mu, c in f.coeffs.items())
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs == 1 or len(items) < 4 * jobs:
-        out = _expand_items(items, max_rows, deadline)
+    stop = None if deadline is None else time.monotonic() + deadline
+    work = len(items) * count_box_partitions(f.degree, f.degree, max_rows or f.degree)
+    if jobs == 1 or work < _POOL_MIN_WORK:
+        out = _expand_items(items, max_rows, stop)
     else:
         width = max(1, len(items) // (4 * jobs))
         chunks = [items[i:i + width] for i in range(0, len(items), width)]
-        stop = None if deadline is None else time.monotonic() + deadline
         out = {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            budget = None if stop is None else max(stop - time.monotonic(), 0.001)
-            pending = {pool.submit(_expand_items, chunk, max_rows, budget)
-                       for chunk in chunks}
-            try:
-                while pending:
-                    remaining = None if stop is None else stop - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        raise ComputeBudgetExceeded("schur expansion passed its time limit")
-                    done, pending = wait(pending, timeout=remaining,
-                                         return_when=FIRST_COMPLETED)
-                    if not done and pending:
-                        raise ComputeBudgetExceeded("schur expansion passed its time limit")
-                    for fut in done:
-                        for shape, c in fut.result().items():
-                            out[shape] = out.get(shape, 0) + c
-            finally:
-                for fut in pending:
-                    fut.cancel()
+            for part in pool.map(_expand_items, chunks, repeat(max_rows), repeat(stop)):
+                for shape, c in part.items():
+                    out[shape] = out.get(shape, 0) + c
     scale = factorial(f.degree)
     return {shape: Fraction(c, scale) for shape, c in out.items() if c}
 
 
-def _expand_items(items, max_rows, budget) -> dict[Partition, int]:
-    """Strip-insertion sums over sorted (ascending parts, coeff) items, within `budget` s."""
-    stop = None if budget is None else time.monotonic() + budget
+def _expand_items(items, max_rows, stop) -> dict[Partition, int]:
+    """Strip-insertion sums over sorted (ascending parts, coeff) items, until `stop`:
+    a system-wide time.monotonic() reading, so workers share their parent's deadline."""
     out: dict[Partition, int] = {}
 
     def rec(lo: int, hi: int, depth: int, state: dict[Partition, int]) -> None:

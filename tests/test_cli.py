@@ -4,6 +4,8 @@ import pickle
 import subprocess
 import sys
 
+import pytest
+
 import foulkes
 from foulkes import cli
 from foulkes.characters import mn_char
@@ -176,6 +178,17 @@ class TestFailurePaths:
             code, out, err = run(capsys, *argv, "--time-limit", "nan")
             assert (code, out) == (EXIT_INPUT, "")
             assert "--time-limit" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("multiplicity", "3", "3", "5,2,2", "--jobs", "0"),
+        ("restrict", "2", "3", "2", "--jobs", "-3"),
+        ("decompose", "3", "3", "--jobs", "0"),
+        ("verify", "3", "3", "--jobs", "0"),
+    ])
+    def test_jobs_below_one_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "--jobs" in err
 
     def test_interrupt_maps_to_its_code(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

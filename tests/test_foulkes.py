@@ -193,7 +193,8 @@ class TestDecompose:
         assert first.to_json_dict() == second.to_json_dict()
         assert first.to_csv_text() == second.to_csv_text()
 
-    def test_parallel_agrees(self):
+    def test_parallel_agrees(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "_POOL_MIN_WORK", 0)
         assert decompose(FoulkesShape(2, 6), jobs=3) == decompose(FoulkesShape(2, 6))
 
     def test_table_must_account_for_every_set_partition(self, monkeypatch, capsys):

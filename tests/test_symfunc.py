@@ -1,3 +1,5 @@
+import os
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from foulkes import symfunc
 from foulkes.characters import mn_char
+from foulkes.decomposition import foulkes_series
 from foulkes.partitions import centralizer_order, enum_partitions
 from foulkes.symfunc import (
     ComputeBudgetExceeded,
@@ -199,11 +202,13 @@ class TestSchurExpansion:
         capped = schur_expansion(series, max_rows=cap)
         assert capped == {mu: c for mu, c in full.items() if len(mu) <= cap}
 
-    def test_parallel_agrees_with_serial(self):
+    def test_parallel_agrees_with_serial(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "_POOL_MIN_WORK", 0)
         series = plethysm_h(6, h_series(2))
         assert schur_expansion(series, jobs=3) == schur_expansion(series)
 
-    def test_expired_budget_raises(self):
+    def test_expired_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(symfunc, "_POOL_MIN_WORK", 0)
         series = plethysm_h(4, h_series(2))
         with pytest.raises(ComputeBudgetExceeded):
             schur_expansion(series, deadline=-1.0)
@@ -224,6 +229,27 @@ class TestSchurExpansion:
 
         monkeypatch.setattr(symfunc, "ProcessPoolExecutor", NoPool)
         monkeypatch.setattr(symfunc.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(symfunc, "_POOL_MIN_WORK", 0)
         with pytest.raises(RuntimeError, match="stub pool"):
             schur_expansion(plethysm_h(6, h_series(2)), jobs=64)
         assert sizes == [2]
+
+    def test_small_expansion_stays_in_process(self, monkeypatch):
+        class NoPool:
+            def __init__(self, max_workers):
+                raise RuntimeError("a small expansion must not start a pool")
+
+        series = plethysm_h(4, h_series(2))
+        serial = schur_expansion(series)
+        monkeypatch.setattr(symfunc, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(symfunc.os, "cpu_count", lambda: 2)
+        assert schur_expansion(series, jobs=2) == serial
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for a pool")
+    def test_pooled_deadline_is_one_budget(self):
+        # the workers check the caller's clock, so no chunk outlives the deadline
+        series = foulkes_series(3, 10)
+        start = time.monotonic()
+        with pytest.raises(ComputeBudgetExceeded):
+            schur_expansion(series, max_rows=10, jobs=2, deadline=1.0)
+        assert time.monotonic() - start < 1.5
