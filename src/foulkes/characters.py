@@ -1,7 +1,9 @@
 """Symmetric group character values over the integers.
 
 Irreducible values come from the Murnaghan-Nakayama recursion on border-strip
-removals, memoized process-wide so repeated decompositions share work.
+removals, memoized process-wide. Schur coefficients of a whole series are
+summed by a walk over the series' own support (symfunc.schur_coefficient),
+which keeps its own memo and comes here only for single cycle types.
 """
 
 from __future__ import annotations

@@ -14,14 +14,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import repeat
+from functools import cached_property, lru_cache
+from itertools import groupby, repeat
 from math import comb, factorial
 
-from foulkes.characters import ClassFunction, mn_char
+from foulkes.characters import ClassFunction, _mn, mn_char
 from foulkes.partitions import (
     Partition,
     border_strip_additions,
+    border_strip_removals,
     centralizer_order,
     count_box_partitions,
     enum_partitions,
@@ -61,6 +62,59 @@ class PSeries:
 
     def __getitem__(self, mu) -> Fraction:
         return Fraction(self.coeffs.get(tuple(mu), 0), factorial(self.degree))
+
+    @cached_property
+    def _support_trie(self) -> _SupportTrie:
+        """Built by the first Schur-coefficient query; lives as long as the series."""
+        return _SupportTrie(self.coeffs)
+
+
+class _SupportTrie:
+    """A series' support as a prefix trie over each cycle type's parts, largest
+    first, with the memo of schur_coefficient's walk over it.
+
+    Node 0 is the root. A node whose subtree holds one cycle type is a chain:
+    chain[node] is (coefficient, remaining parts) and it has no children.
+    Every other node has chain[node] None and kids[node] its (part, child)
+    pairs. All cycle types have one weight, so none is a prefix of another
+    and every one ends inside a chain.
+    """
+
+    def __init__(self, coeffs: dict[Partition, int]):
+        self.kids: list[tuple[tuple[int, int], ...]] = []
+        self.chain: list[tuple[int, Partition] | None] = []
+        self._add(sorted(coeffs.items(), reverse=True), 0)
+        self.memo: dict[tuple[Partition, int], int] = {}
+
+    def _add(self, items: list[tuple[Partition, int]], depth: int) -> int:
+        """Add the node holding items, which share their first depth parts."""
+        node = len(self.kids)
+        self.kids.append(())
+        self.chain.append(None)
+        if len(items) == 1:
+            mu, c = items[0]
+            self.chain[node] = (c, mu[depth:])
+        else:
+            self.kids[node] = tuple(
+                (part, self._add(list(group), depth + 1))
+                for part, group in groupby(items, key=lambda item: item[0][depth]))
+        return node
+
+    def walk(self, shape: Partition, node: int) -> int:
+        """Sum over the cycle types below node of c * chi^shape(remaining parts)."""
+        chain = self.chain[node]
+        if chain is not None:
+            return chain[0] * _mn(shape, chain[1])
+        key = (shape, node)
+        total = self.memo.get(key)
+        if total is None:
+            total = 0
+            for part, child in self.kids[node]:
+                for smaller, height in border_strip_removals(shape, part):
+                    value = self.walk(smaller, child)
+                    total += -value if height % 2 else value
+            self.memo[key] = total
+        return total
 
 
 @lru_cache(maxsize=None)
@@ -148,14 +202,22 @@ def inner(f: PSeries, g: PSeries) -> Fraction:
 
 
 def schur_coefficient(f: PSeries, lam: Partition) -> Fraction:
-    """Coefficient of the Schur function s_lam in f, visiting only f's support.
+    """Coefficient of the Schur function s_lam in f: sum of coeffs * chi^lam / n!.
 
     The Schur coefficient on a power sum is the character value over the
     centralizer order, and the weight in the inner product cancels that
-    order exactly.
+    order exactly. The sum is one Murnaghan-Nakayama walk over f's support,
+    held as a trie over each cycle type's parts in descending order (the
+    largest strip first prunes soonest): each step peels one border strip
+    off lam. A subtree holding a single cycle type falls through to the
+    character memo, so a first query costs no more than the plain sum over
+    the support. The walk's memo, keyed by (shape, trie node), lives with
+    the series, so repeated queries on one series share their work.
     """
-    total = sum(c * mn_char(lam, mu) for mu, c in f.coeffs.items())
-    return Fraction(total, factorial(f.degree))
+    lam = validate_partition(lam)
+    if sum(lam) != f.degree:
+        raise ValueError(f"shape weight {sum(lam)} differs from series degree {f.degree}")
+    return Fraction(f._support_trie.walk(lam, 0), factorial(f.degree))
 
 
 def to_class_function(f: PSeries) -> ClassFunction:

@@ -87,6 +87,25 @@ class TestMultiplicity:
         assert multiplicity(FoulkesShape(a, b), lam, use_fastpath=True) == \
             multiplicity(FoulkesShape(a, b), lam, use_fastpath=False)
 
+    @pytest.mark.parametrize("a,b", [(2, 6), (3, 4), (4, 3)])
+    def test_whole_board_matches_table(self, a, b):
+        # every shape of 12 on one series, more rows than b included, so the
+        # walk's memo is reused across the whole board
+        shape = FoulkesShape(a, b)
+        table = decompose(shape, use_fastpath=False)
+        assert len(table.entries) == 77
+        for lam, mult in table.entries:
+            assert multiplicity(shape, lam, use_fastpath=False) == mult, lam
+
+    @pytest.mark.slow
+    def test_3x10_table_matches_point_queries(self):
+        shape = FoulkesShape(3, 10)
+        table = decompose(shape, keep=enum_partitions(30, max_parts=10), jobs=2)
+        assert len(table.entries) == 3590
+        mismatches = [lam for lam, mult in table.entries
+                      if multiplicity(shape, lam, use_fastpath=False) != mult]
+        assert mismatches == []
+
     def test_gen_multiplicity_kostka_case(self):
         # one block of 2 and one of 1: plain Young character of (2,1)
         sh = GeneralizedShape.from_blocks((2, 1))

@@ -118,6 +118,14 @@ class TestAlgebra:
         lam = data.draw(st.sampled_from(enum_partitions(sum(mu) + k)))
         assert schur_coefficient(f, lam) == inner(f, schur_series(lam))
 
+    @pytest.mark.parametrize("lam", [(2, 1, 1), (1, 2)])
+    def test_schur_coefficient_checks_shape(self, lam):
+        with pytest.raises(ValueError):
+            schur_coefficient(h_series(3), lam)
+
+    def test_schur_coefficient_of_zero_series(self):
+        assert schur_coefficient(PSeries(3, {}), (2, 1)) == 0
+
     def test_kostka_numbers_from_h_products(self):
         # <h_2 h_1, s_lam> counts fillings: one each for (3) and (2,1)
         f = multiply(h_series(2), h_series(1))
