@@ -5,15 +5,14 @@ Runs the census for every (a, b) in the requested ranges and prints one JSON
 line per board, so long sweeps can be resumed or diffed with standard tools.
 
     python3 scripts/run_census.py --max-a 3 --max-b 7
-    python3 scripts/run_census.py --pairs 3,10 --jobs 8
+    python3 scripts/run_census.py --pairs 3,10
 """
 
 import argparse
 import json
-import os
 import sys
 
-from foulkes.cli import EXIT_BUDGET, EXIT_DISCREPANCY, _jobs, _seconds
+from foulkes.cli import EXIT_BUDGET, EXIT_DISCREPANCY, _JOBS_HELP, _jobs, _seconds
 from foulkes.decomposition import FoulkesShape
 from foulkes.symfunc import ComputeBudgetExceeded
 from foulkes.vanishing import census
@@ -32,7 +31,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-b", type=int, default=6)
     parser.add_argument("--pairs", nargs="*", type=board, default=None, metavar="A,B",
                         help="explicit boards instead of the full grid")
-    parser.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    parser.add_argument("--jobs", type=_jobs, default=1, help=_JOBS_HELP)
     parser.add_argument("--time-limit", type=_seconds, default=None,
                         help="budget per board, seconds; exceeding it exits 3")
     args = parser.parse_args(argv)

@@ -9,18 +9,17 @@ discrepancy was found, which would be publishable news.
 """
 
 import argparse
-import os
 import sys
 import time
 
-from foulkes.cli import _jobs
+from foulkes.cli import _JOBS_HELP, _jobs
 from foulkes.vanishing import verify_all
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-degree", type=int, default=12)
-    parser.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    parser.add_argument("--jobs", type=_jobs, default=1, help=_JOBS_HELP)
     args = parser.parse_args(argv)
 
     boards = [(a, b) for a in range(1, args.max_degree + 1)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from foulkes.decomposition import (
@@ -64,6 +63,10 @@ def _jobs(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
     return value
+
+
+_JOBS_HELP = ("accepted for compatibility and must be >= 1; it changes nothing, "
+              "since every table is computed in one process (default 1)")
 
 
 def _parse_opt_partition(text: str):
@@ -173,9 +176,7 @@ def cmd_hook_coords(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1,
-                        help="worker processes for expansions, capped at the core "
-                             "count (default: all cores)")
+    common.add_argument("--jobs", type=_jobs, default=1, help=_JOBS_HELP)
     common.add_argument("--max-ab", type=int, default=20,
                         help="refuse degrees above this (default 20)")
     common.add_argument("--time-limit", type=_seconds, default=None, metavar="SECONDS",

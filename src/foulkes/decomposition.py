@@ -221,17 +221,20 @@ def decompose(shape: FoulkesShape, keep=None, use_fastpath: bool = True,
               jobs: int = 1, deadline: float | None = None) -> DecompositionTable:
     """Decompose one Foulkes character into irreducibles, every shape listed.
 
-    The whole table comes from one strip-insertion expansion of the series.
-    The fast path caps inserted shapes at b rows (exact, shapes with more
-    rows cannot appear); use_fastpath=False runs the expansion unpruned so
-    the structural zeros are recomputed the hard way. `keep` restricts the
-    rows of the table to the given shapes. Every run checks that the
-    expansion accounts for every set partition: sum of mult * dim = |Omega|.
+    The whole table comes from symfunc.plethysm_h_expansion: the Newton
+    recursion for h_b[h_a], run stage by stage on integer Schur tables. The
+    fast path caps every stage at b rows (exact, shapes with more rows cannot
+    appear); use_fastpath=False runs it unpruned so the structural zeros are
+    recomputed the hard way. `keep` restricts the rows of the table to the
+    given shapes. Every run checks that the table accounts for every set
+    partition: sum of mult * dim = |Omega|. `jobs` must be >= 1 and changes
+    nothing: the table is computed in-process.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     max_rows = shape.b if use_fastpath else None
-    expansion = symfunc.schur_expansion(
-        foulkes_series(shape.a, shape.b), max_rows=max_rows,
-        jobs=jobs, deadline=deadline)
+    expansion = symfunc.plethysm_h_expansion(
+        shape.b, symfunc.h_series(shape.a), max_rows=max_rows, deadline=deadline)
     if keep is None:
         rows = enum_partitions(shape.degree)
     else:

@@ -5,17 +5,21 @@ cycle types mu to the int n! * [p_mu] f: for a character, the sum of its values
 over the class mu. Only the public rational values divide by n!. This basis
 makes multiplication a multiset merge and plethysm by a power sum a simple
 index rescaling, which is what the Foulkes computations lean on.
+
+Schur expansions go through one strip-insertion routine, run in-process:
+schur_expansion turns any series into a Schur table, and
+plethysm_h_expansion builds the table of h_b[f] straight from f's support
+by running the plethysm recursion on integer Schur tables, without forming
+the power-sum series of h_b[f].
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import groupby, repeat
+from itertools import groupby
 from math import comb, factorial
 
 from foulkes.characters import ClassFunction, _mn, mn_char
@@ -24,16 +28,9 @@ from foulkes.partitions import (
     border_strip_additions,
     border_strip_removals,
     centralizer_order,
-    count_box_partitions,
     enum_partitions,
     validate_partition,
 )
-
-
-# Support size times target shapes below which a pool costs more than it saves:
-# on 2 cores, boards under 60k ran up to 5x slower pooled, and every board past
-# 87k ran faster.
-_POOL_MIN_WORK = 1 << 16
 
 
 class ComputeBudgetExceeded(RuntimeError):
@@ -232,7 +229,7 @@ def to_class_function(f: PSeries) -> ClassFunction:
     return ClassFunction(degree=f.degree, values=values)
 
 
-def schur_expansion(f: PSeries, max_rows: int | None = None, jobs: int = 1,
+def schur_expansion(f: PSeries, max_rows: int | None = None,
                     deadline: float | None = None) -> dict[Partition, Fraction]:
     """Expand f over Schur functions: the returned dict maps shape to coefficient.
 
@@ -241,35 +238,53 @@ def schur_expansion(f: PSeries, max_rows: int | None = None, jobs: int = 1,
     cycle length; partial insertions shared by many cycle types are computed
     once. With max_rows set, shapes are pruned the moment they grow too many
     rows, which is exact because strip insertion never shrinks the row count.
-    `deadline` is one wall-clock budget in seconds for the whole expansion,
-    which the worker processes honour too. `jobs` > 1 splits the support
-    across that many workers, at most one per core, but only when support
-    size times target shapes reaches _POOL_MIN_WORK; smaller expansions run
-    in-process whatever `jobs` is.
+    `deadline` is a wall-clock budget in seconds for the whole expansion.
     """
     items = sorted((mu[::-1], c) for mu, c in f.coeffs.items())
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    jobs = min(jobs, os.cpu_count() or 1)
     stop = None if deadline is None else time.monotonic() + deadline
-    work = len(items) * count_box_partitions(f.degree, f.degree, max_rows or f.degree)
-    if jobs == 1 or work < _POOL_MIN_WORK:
-        out = _expand_items(items, max_rows, stop)
-    else:
-        width = max(1, len(items) // (4 * jobs))
-        chunks = [items[i:i + width] for i in range(0, len(items), width)]
-        out = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_expand_items, chunks, repeat(max_rows), repeat(stop)):
-                for shape, c in part.items():
-                    out[shape] = out.get(shape, 0) + c
+    out = _expand_items(items, max_rows, stop, {(): 1})
     scale = factorial(f.degree)
     return {shape: Fraction(c, scale) for shape, c in out.items() if c}
 
 
-def _expand_items(items, max_rows, stop) -> dict[Partition, int]:
-    """Strip-insertion sums over sorted (ascending parts, coeff) items, until `stop`:
-    a system-wide time.monotonic() reading, so workers share their parent's deadline."""
+def plethysm_h_expansion(b: int, f: PSeries, max_rows: int | None = None,
+                         deadline: float | None = None) -> dict[Partition, Fraction]:
+    """Schur expansion of h_b[f], built stage by stage in the Schur basis.
+
+    Runs the Newton recursion of plethysm_h on Schur tables instead of on
+    power-sum series. With a = deg f and T_j = j! * a!^j * h_j[f],
+
+        T_j = sum_{k=1..j} (j-1)!/(j-k)! * a!^(k-1) * Q_k * T_(j-k),  T_0 = s_(),
+
+    where Q_k is f's support with every part scaled by k (that is, a! times
+    p_k[f]) and each product is one strip-insertion pass of schur_expansion's
+    trie, seeded with the table T_(j-k) instead of the empty shape. Every
+    stage is an int table; shapes past max_rows are pruned at every stage,
+    which is exact because insertion never removes a row. The one division,
+    by b! * a!^b, happens at the end. `deadline` is a wall-clock budget in
+    seconds for all the stages together.
+    """
+    if b < 0:
+        raise ValueError("degree must be >= 0")
+    stop = None if deadline is None else time.monotonic() + deadline
+    a = f.degree
+    items = sorted((mu[::-1], c) for mu, c in f.coeffs.items())
+    stages: list[dict[Partition, int]] = [{(): 1}]
+    for j in range(1, b + 1):
+        table: dict[Partition, int] = {}
+        for k in range(1, j + 1):
+            scaled = [(tuple(k * m for m in mu), c) for mu, c in items]
+            weight = factorial(j - 1) // factorial(j - k) * factorial(a) ** (k - 1)
+            for shape, c in _expand_items(scaled, max_rows, stop, stages[j - k]).items():
+                table[shape] = table.get(shape, 0) + weight * c
+        stages.append({shape: c for shape, c in table.items() if c})
+    scale = factorial(b) * factorial(a) ** b
+    return {shape: Fraction(c, scale) for shape, c in stages[b].items()}
+
+
+def _expand_items(items, max_rows, stop, seed) -> dict[Partition, int]:
+    """Strip-insertion sums over sorted (ascending parts, coeff) items applied to
+    the seed table {shape: int}, until `stop`, a time.monotonic() reading."""
     out: dict[Partition, int] = {}
 
     def rec(lo: int, hi: int, depth: int, state: dict[Partition, int]) -> None:
@@ -297,5 +312,5 @@ def _expand_items(items, max_rows, stop) -> dict[Partition, int]:
                 rec(i, j, depth + 1, nxt)
             i = j
 
-    rec(0, len(items), 0, {(): 1})
+    rec(0, len(items), 0, seed)
     return {shape: c for shape, c in out.items() if c}

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from foulkes.decomposition import (
     multiplicity,
     orbit_size,
 )
-from foulkes.partitions import box_partitions, enum_partitions
-from foulkes.symfunc import to_class_function
+from foulkes.partitions import border_strip_additions, box_partitions, enum_partitions
+from foulkes.symfunc import ComputeBudgetExceeded, to_class_function
 from strats import partitions, small_shapes
 
 
@@ -212,24 +213,52 @@ class TestDecompose:
         assert first.to_json_dict() == second.to_json_dict()
         assert first.to_csv_text() == second.to_csv_text()
 
-    def test_parallel_agrees(self, monkeypatch):
-        monkeypatch.setattr(symfunc, "_POOL_MIN_WORK", 0)
+    def test_parallel_agrees(self):
         assert decompose(FoulkesShape(2, 6), jobs=3) == decompose(FoulkesShape(2, 6))
 
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            decompose(FoulkesShape(2, 3), jobs=0)
+
+    def test_deadline_bounds_the_whole_table(self):
+        # cold strip cache: an earlier 3x10 table would let this one finish in time
+        border_strip_additions.cache_clear()
+        start = time.monotonic()
+        with pytest.raises(ComputeBudgetExceeded):
+            decompose(FoulkesShape(3, 10), deadline=0.2)
+        assert time.monotonic() - start < 0.6
+
     def test_table_must_account_for_every_set_partition(self, monkeypatch, capsys):
-        expand = symfunc.schur_expansion
+        expand = symfunc.plethysm_h_expansion
 
         def off_by_one(*args, **kwargs):
             out = expand(*args, **kwargs)
             out[(6,)] += 1
             return out
 
-        monkeypatch.setattr(symfunc, "schur_expansion", off_by_one)
+        monkeypatch.setattr(symfunc, "plethysm_h_expansion", off_by_one)
         with pytest.raises(ArithmeticError, match=r"2x3 table: .* is 16, not \|Omega\| = 15"):
             decompose(FoulkesShape(2, 3))
         assert cli.main(["decompose", "2", "3"]) == cli.EXIT_DISCREPANCY
         out, err = capsys.readouterr()
         assert out == "" and "2x3 table" in err
+
+
+class TestClosedForms:
+    """Whole tables up to degree 30 against plethysms known in closed form."""
+
+    @pytest.mark.parametrize("b", range(16))
+    def test_thrall_h_b_of_h_2(self, b):
+        # h_b[h_2] is the sum of s_(2 nu) over all nu of b, each once
+        expected = {tuple(2 * part for part in nu): 1 for nu in enum_partitions(b)}
+        assert dict(decompose(FoulkesShape(2, b)).nonzero_entries) == expected
+
+    @pytest.mark.parametrize("a", range(1, 16))
+    def test_h_2_of_h_a(self, a):
+        # h_2[h_a] is the sum of s_(2a - 2k, 2k) over k = 0 .. a/2, each once
+        expected = {tuple(p for p in (2 * a - 2 * k, 2 * k) if p): 1
+                    for k in range(a // 2 + 1)}
+        assert dict(decompose(FoulkesShape(a, 2)).nonzero_entries) == expected
 
 
 class TestExactness:
@@ -240,7 +269,7 @@ class TestExactness:
 
     @pytest.mark.parametrize("value, message", BAD)
     def test_decompose_names_the_shape(self, monkeypatch, value, message):
-        monkeypatch.setattr(symfunc, "schur_expansion", lambda *a, **k: {(4, 2): value})
+        monkeypatch.setattr(symfunc, "plethysm_h_expansion", lambda *a, **k: {(4, 2): value})
         with pytest.raises(ArithmeticError, match=rf"multiplicity of \(4, 2\) {message}"):
             decompose(FoulkesShape(2, 3))
 

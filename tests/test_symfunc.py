@@ -1,12 +1,9 @@
-import os
-import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from foulkes import symfunc
 from foulkes.characters import mn_char
 from foulkes.decomposition import foulkes_series
 from foulkes.partitions import centralizer_order, enum_partitions
@@ -18,6 +15,7 @@ from foulkes.symfunc import (
     inner,
     multiply,
     plethysm_h,
+    plethysm_h_expansion,
     plethysm_power,
     schur_coefficient,
     schur_expansion,
@@ -210,54 +208,34 @@ class TestSchurExpansion:
         capped = schur_expansion(series, max_rows=cap)
         assert capped == {mu: c for mu, c in full.items() if len(mu) <= cap}
 
-    def test_parallel_agrees_with_serial(self, monkeypatch):
-        monkeypatch.setattr(symfunc, "_POOL_MIN_WORK", 0)
-        series = plethysm_h(6, h_series(2))
-        assert schur_expansion(series, jobs=3) == schur_expansion(series)
-
-    def test_expired_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(symfunc, "_POOL_MIN_WORK", 0)
+    def test_expired_budget_raises(self):
         series = plethysm_h(4, h_series(2))
         with pytest.raises(ComputeBudgetExceeded):
             schur_expansion(series, deadline=-1.0)
         with pytest.raises(ComputeBudgetExceeded):
-            schur_expansion(series, jobs=2, deadline=-1.0)
+            plethysm_h_expansion(4, h_series(2), deadline=-1.0)
 
-    def test_jobs_validated(self):
+
+SMALL_BOARDS = [(a, b) for a in range(1, 17) for b in range(16 // a + 1)]
+
+
+class TestPlethysmExpansion:
+    """The Schur-basis recursion against the power-sum route it replaces."""
+
+    def test_every_small_board_matches_power_sum_route(self):
+        # the 50 boards with a*b <= 16, plus b = 0, pruned and unpruned
+        assert len(SMALL_BOARDS) == 66
+        for a, b in SMALL_BOARDS:
+            for max_rows in (b, None):
+                assert plethysm_h_expansion(b, h_series(a), max_rows=max_rows) == \
+                    schur_expansion(foulkes_series(a, b), max_rows=max_rows), (a, b, max_rows)
+
+    @pytest.mark.parametrize("f", [e_series(2), schur_series((2, 1)), h_series(1)],
+                             ids=["e2", "s21", "h1"])
+    @pytest.mark.parametrize("b", range(5))
+    def test_general_series_matches_power_sum_route(self, f, b):
+        assert plethysm_h_expansion(b, f) == schur_expansion(plethysm_h(b, f))
+
+    def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            schur_expansion(h_series(2), jobs=0)
-
-    def test_pool_capped_at_core_count(self, monkeypatch):
-        sizes = []
-
-        class NoPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                raise RuntimeError("stub pool starts no process")
-
-        monkeypatch.setattr(symfunc, "ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr(symfunc.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(symfunc, "_POOL_MIN_WORK", 0)
-        with pytest.raises(RuntimeError, match="stub pool"):
-            schur_expansion(plethysm_h(6, h_series(2)), jobs=64)
-        assert sizes == [2]
-
-    def test_small_expansion_stays_in_process(self, monkeypatch):
-        class NoPool:
-            def __init__(self, max_workers):
-                raise RuntimeError("a small expansion must not start a pool")
-
-        series = plethysm_h(4, h_series(2))
-        serial = schur_expansion(series)
-        monkeypatch.setattr(symfunc, "ProcessPoolExecutor", NoPool)
-        monkeypatch.setattr(symfunc.os, "cpu_count", lambda: 2)
-        assert schur_expansion(series, jobs=2) == serial
-
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for a pool")
-    def test_pooled_deadline_is_one_budget(self):
-        # the workers check the caller's clock, so no chunk outlives the deadline
-        series = foulkes_series(3, 10)
-        start = time.monotonic()
-        with pytest.raises(ComputeBudgetExceeded):
-            schur_expansion(series, max_rows=10, jobs=2, deadline=1.0)
-        assert time.monotonic() - start < 1.5
+            plethysm_h_expansion(-1, h_series(2))
