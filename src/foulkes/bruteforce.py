@@ -11,8 +11,14 @@ from collections import Counter
 from itertools import combinations
 from math import factorial
 
-from foulkes.characters import ClassFunction
-from foulkes.partitions import Partition, enum_partitions, fits_inside, validate_partition
+from foulkes.partitions import (
+    Partition,
+    centralizer_order,
+    enum_partitions,
+    fits_inside,
+    validate_partition,
+)
+from foulkes.symfunc import PSeries
 
 DEFAULT_CAP = 12
 
@@ -107,18 +113,18 @@ def fixed_count(omega, perm: tuple[int, ...]) -> int:
     return sum(1 for sp in omega if apply_permutation(perm, sp) == sp)
 
 
-def brute_foulkes_char(block_sizes, cap: int = DEFAULT_CAP) -> ClassFunction:
+def brute_foulkes_char(block_sizes, cap: int = DEFAULT_CAP) -> PSeries:
     """Permutation character of S_n on the set partitions, counted point by point.
 
-    Works for any multiset of block sizes, so it anchors the generalized
-    characters as well as the equal-blocks ones.
+    Returned as a series: the fixed-point count on each cycle type mu times
+    the class size n!/z_mu. Works for any multiset of block sizes, so it
+    anchors the generalized characters as well as the equal-blocks ones.
     """
     omega = enum_omega(block_sizes, cap)
     n = sum(int(s) for s in block_sizes)
-    values = {}
-    for mu in enum_partitions(n):
-        values[mu] = fixed_count(omega, cycle_type_permutation(mu))
-    return ClassFunction(degree=n, values=values)
+    return PSeries(n, {
+        mu: fixed_count(omega, cycle_type_permutation(mu)) * (factorial(n) // centralizer_order(mu))
+        for mu in enum_partitions(n)})
 
 
 def linked_partition(sp, r: int) -> Partition:

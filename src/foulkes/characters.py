@@ -8,7 +8,6 @@ which keeps its own memo and comes here only for single cycle types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -57,17 +56,6 @@ def dimension(lam: Partition) -> int:
     if num % hooks:
         raise ArithmeticError(f"hook product {hooks} does not divide {n}!")
     return num // hooks
-
-
-@dataclass(frozen=True)
-class ClassFunction:
-    """Integer-valued class function on a symmetric group, one value per cycle type."""
-
-    degree: int
-    values: dict[Partition, int]
-
-    def __call__(self, mu: Partition) -> int:
-        return self.values[tuple(sorted(mu, reverse=True))]
 
 
 def cache_size() -> int:

@@ -103,7 +103,7 @@ def foulkes_series(a: int, b: int) -> symfunc.PSeries:
 def gen_foulkes_series(shape: GeneralizedShape) -> symfunc.PSeries:
     series = symfunc.h_series(0)
     for size, count in shape.pairs:
-        series = symfunc.multiply(series, symfunc.plethysm_h(count, symfunc.h_series(size)))
+        series = symfunc.multiply(series, foulkes_series(size, count))
     return series
 
 
@@ -119,18 +119,16 @@ def _exact(label: str, value) -> int:
 def multiplicity(shape: FoulkesShape, lam, use_fastpath: bool = True) -> int:
     """Multiplicity of the irreducible indexed by lam in the Foulkes character.
 
-    The fast path skips the character sum when a structural reason already
-    forces zero: more rows than blocks, or failing dominance over the
-    all-blocks-equal shape. Pass use_fastpath=False to force the full sum.
+    The fast path skips the character sum when lam fails to dominate the
+    all-blocks-equal shape (a^b), which forces zero. That covers every shape
+    with more rows than blocks: its first b rows hold fewer than a*b boxes.
+    Pass use_fastpath=False to force the full sum.
     """
     lam = validate_partition(lam)
     if sum(lam) != shape.degree:
         raise ValueError(f"{lam} is not a partition of {shape.degree}")
-    if use_fastpath:
-        if len(lam) > shape.b:
-            return 0
-        if not dominates(lam, shape.blocks_partition):
-            return 0
+    if use_fastpath and not dominates(lam, shape.blocks_partition):
+        return 0
     return _exact(f"multiplicity of {lam}",
                   symfunc.schur_coefficient(foulkes_series(shape.a, shape.b), lam))
 
@@ -217,7 +215,7 @@ class DecompositionTable:
         return buf.getvalue()
 
 
-def decompose(shape: FoulkesShape, keep=None, use_fastpath: bool = True,
+def decompose(shape: FoulkesShape, use_fastpath: bool = True,
               jobs: int = 1, deadline: float | None = None) -> DecompositionTable:
     """Decompose one Foulkes character into irreducibles, every shape listed.
 
@@ -225,8 +223,8 @@ def decompose(shape: FoulkesShape, keep=None, use_fastpath: bool = True,
     recursion for h_b[h_a], run stage by stage on integer Schur tables. The
     fast path caps every stage at b rows (exact, shapes with more rows cannot
     appear); use_fastpath=False runs it unpruned so the structural zeros are
-    recomputed the hard way. `keep` restricts the rows of the table to the
-    given shapes. Every run checks that the table accounts for every set
+    recomputed the hard way. The table lists every partition of a*b, zeros
+    included. Every run checks that the table accounts for every set
     partition: sum of mult * dim = |Omega|. `jobs` must be >= 1 and changes
     nothing: the table is computed in-process.
     """
@@ -235,16 +233,9 @@ def decompose(shape: FoulkesShape, keep=None, use_fastpath: bool = True,
     max_rows = shape.b if use_fastpath else None
     expansion = symfunc.plethysm_h_expansion(
         shape.b, symfunc.h_series(shape.a), max_rows=max_rows, deadline=deadline)
-    if keep is None:
-        rows = enum_partitions(shape.degree)
-    else:
-        rows = sorted((validate_partition(lam) for lam in keep), reverse=True)
-        for lam in rows:
-            if sum(lam) != shape.degree:
-                raise ValueError(f"{lam} is not a partition of {shape.degree}")
     entries = tuple(
         (lam, _exact(f"multiplicity of {lam}", expansion.get(lam, 0)))
-        for lam in rows)
+        for lam in enum_partitions(shape.degree))
     total = sum(c * dimension(lam) for lam, c in expansion.items())
     if total != shape.omega_size:
         raise ArithmeticError(

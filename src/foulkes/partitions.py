@@ -26,14 +26,6 @@ def validate_partition(lam) -> Partition:
     return lam
 
 
-def as_partition(parts) -> Partition:
-    """Canonicalize an unordered bag of positive parts."""
-    out = tuple(sorted(parts, reverse=True))
-    if out and (not isinstance(out[-1], int) or out[-1] < 1):
-        raise ValueError(f"partition parts must be positive integers: {list(parts)!r}")
-    return out
-
-
 def parse_partition(text: str) -> Partition:
     """Parse text like '7,3,1,1' or '3^10' or '4,2^3,1' into a partition.
 
@@ -50,7 +42,7 @@ def parse_partition(text: str) -> Partition:
         if value < 1 or count < 1:
             raise ValueError(f"parts and repeat counts must be >= 1: {token!r}")
         parts.extend([value] * count)
-    return as_partition(parts)
+    return tuple(sorted(parts, reverse=True))
 
 
 def format_partition(lam: Partition) -> str:

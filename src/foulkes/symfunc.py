@@ -6,11 +6,12 @@ over the class mu. Only the public rational values divide by n!. This basis
 makes multiplication a multiset merge and plethysm by a power sum a simple
 index rescaling, which is what the Foulkes computations lean on.
 
-Schur expansions go through one strip-insertion routine, run in-process:
-schur_expansion turns any series into a Schur table, and
+Schur expansions go through one routine, run in-process:
 plethysm_h_expansion builds the table of h_b[f] straight from f's support
 by running the plethysm recursion on integer Schur tables, without forming
-the power-sum series of h_b[f].
+the power-sum series of h_b[f]; schur_expansion is its b = 1 case. There is
+one form for a class function, the series itself: its coefficient on mu is
+the sum of the function's values over the class mu.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import groupby
 from math import comb, factorial
 
-from foulkes.characters import ClassFunction, _mn, mn_char
+from foulkes.characters import _mn, mn_char
 from foulkes.partitions import (
     Partition,
     border_strip_additions,
@@ -56,9 +57,6 @@ class PSeries:
             if c:
                 clean[mu] = c
         object.__setattr__(self, "coeffs", clean)
-
-    def __getitem__(self, mu) -> Fraction:
-        return Fraction(self.coeffs.get(tuple(mu), 0), factorial(self.degree))
 
     @cached_property
     def _support_trie(self) -> _SupportTrie:
@@ -114,7 +112,6 @@ class _SupportTrie:
         return total
 
 
-@lru_cache(maxsize=None)
 def h_series(n: int) -> PSeries:
     """Complete homogeneous symmetric function of degree n."""
     if n < 0:
@@ -123,7 +120,6 @@ def h_series(n: int) -> PSeries:
         mu: factorial(n) // centralizer_order(mu) for mu in enum_partitions(n)})
 
 
-@lru_cache(maxsize=None)
 def e_series(n: int) -> PSeries:
     """Elementary symmetric function of degree n."""
     if n < 0:
@@ -217,34 +213,15 @@ def schur_coefficient(f: PSeries, lam: Partition) -> Fraction:
     return Fraction(f._support_trie.walk(lam, 0), factorial(f.degree))
 
 
-def to_class_function(f: PSeries) -> ClassFunction:
-    """Reinterpret f as the class function it represents; must be integer valued."""
-    values = {}
-    for mu in enum_partitions(f.degree):
-        z = centralizer_order(mu)
-        v, rem = divmod(f.coeffs.get(mu, 0) * z, factorial(f.degree))
-        if rem:
-            raise ValueError(f"value on class {mu} is {f[mu] * z}, not an integer")
-        values[mu] = v
-    return ClassFunction(degree=f.degree, values=values)
-
-
 def schur_expansion(f: PSeries, max_rows: int | None = None,
                     deadline: float | None = None) -> dict[Partition, Fraction]:
     """Expand f over Schur functions: the returned dict maps shape to coefficient.
 
-    Walks the support as a prefix trie over the cycle parts, smallest first,
-    keeping a running bag of shapes built by inserting one border strip per
-    cycle length; partial insertions shared by many cycle types are computed
-    once. With max_rows set, shapes are pruned the moment they grow too many
-    rows, which is exact because strip insertion never shrinks the row count.
-    `deadline` is a wall-clock budget in seconds for the whole expansion.
+    This is plethysm_h_expansion with b = 1, since h_1[f] = f: one
+    strip-insertion pass over f's support, pruned past max_rows rows, with
+    `deadline` a wall-clock budget in seconds.
     """
-    items = sorted((mu[::-1], c) for mu, c in f.coeffs.items())
-    stop = None if deadline is None else time.monotonic() + deadline
-    out = _expand_items(items, max_rows, stop, {(): 1})
-    scale = factorial(f.degree)
-    return {shape: Fraction(c, scale) for shape, c in out.items() if c}
+    return plethysm_h_expansion(1, f, max_rows, deadline)
 
 
 def plethysm_h_expansion(b: int, f: PSeries, max_rows: int | None = None,
@@ -257,12 +234,12 @@ def plethysm_h_expansion(b: int, f: PSeries, max_rows: int | None = None,
         T_j = sum_{k=1..j} (j-1)!/(j-k)! * a!^(k-1) * Q_k * T_(j-k),  T_0 = s_(),
 
     where Q_k is f's support with every part scaled by k (that is, a! times
-    p_k[f]) and each product is one strip-insertion pass of schur_expansion's
-    trie, seeded with the table T_(j-k) instead of the empty shape. Every
-    stage is an int table; shapes past max_rows are pruned at every stage,
-    which is exact because insertion never removes a row. The one division,
-    by b! * a!^b, happens at the end. `deadline` is a wall-clock budget in
-    seconds for all the stages together.
+    p_k[f]) and each product is one strip-insertion pass over the ascending
+    trie of f's support, seeded with the table T_(j-k). Every stage is an
+    int table; shapes past max_rows are pruned at every stage, which is exact
+    because insertion never removes a row. The one division, by b! * a!^b,
+    happens at the end. `deadline` is a wall-clock budget in seconds for all
+    the stages together.
     """
     if b < 0:
         raise ValueError("degree must be >= 0")

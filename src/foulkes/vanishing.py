@@ -16,7 +16,6 @@ from foulkes.decomposition import FoulkesShape, GeneralizedShape, decompose
 from foulkes.partitions import (
     Partition,
     count_box_partitions,
-    enum_partitions,
     hook_leg,
     to_hook_coords,
     validate_partition,
@@ -212,10 +211,10 @@ def census(a: int, b: int, jobs: int = 1,
     """
     shape = FoulkesShape(a, b)
     start = time.perf_counter()
-    table = decompose(shape, keep=enum_partitions(shape.degree, max_parts=b),
-                      jobs=jobs, deadline=deadline)
+    table = decompose(shape, jobs=jobs, deadline=deadline)
+    rows = [(lam, actual) for lam, actual in table.entries if len(lam) <= b]
     zero = predicted = 0
-    for lam, actual in table.entries:
+    for lam, actual in rows:
         if actual == 0:
             zero += 1
         hit = False
@@ -230,7 +229,7 @@ def census(a: int, b: int, jobs: int = 1,
         if hit:
             predicted += 1
     elapsed = time.perf_counter() - start
-    return CensusReport(a=a, b=b, total=len(table.entries), zero=zero,
+    return CensusReport(a=a, b=b, total=len(rows), zero=zero,
                         predicted=predicted, elapsed_seconds=elapsed)
 
 

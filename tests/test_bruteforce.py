@@ -16,7 +16,6 @@ from foulkes.bruteforce import (
 )
 from foulkes.decomposition import foulkes_series
 from foulkes.partitions import box_partitions, enum_partitions
-from foulkes.symfunc import to_class_function
 
 
 class TestEnumOmega:
@@ -76,8 +75,8 @@ class TestPermutations:
 
 class TestBruteCharacter:
     def test_matches_exact_series(self):
-        assert brute_foulkes_char((2, 2)) == to_class_function(foulkes_series(2, 2))
-        assert brute_foulkes_char((2, 2, 2)) == to_class_function(foulkes_series(2, 3))
+        assert brute_foulkes_char((2, 2)) == foulkes_series(2, 2)
+        assert brute_foulkes_char((2, 2, 2)) == foulkes_series(2, 3)
 
     def test_degree_recorded(self):
         assert brute_foulkes_char((3, 1)).degree == 4

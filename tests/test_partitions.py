@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from foulkes.partitions import (
     HookCoordinates,
-    as_partition,
     border_strip_additions,
     border_strip_removals,
     box_partitions,
@@ -55,9 +54,6 @@ class TestParsing:
             validate_partition((1, 2))
         with pytest.raises(ValueError):
             validate_partition((2, 0))
-
-    def test_as_partition_sorts(self):
-        assert as_partition([1, 3, 2, 3]) == (3, 3, 2, 1)
 
 
 class TestOrders:
