@@ -95,15 +95,35 @@ class GeneralizedShape:
 
 @lru_cache(maxsize=None)
 def foulkes_series(a: int, b: int) -> symfunc.PSeries:
-    """Power-sum expansion of the Foulkes character for b blocks of size a."""
-    return symfunc.plethysm_h(b, symfunc.h_series(a))
+    """Power-sum expansion of the Foulkes character for b blocks of size a,
+    checked by _checked when it is built."""
+    series = symfunc.plethysm_h(b, symfunc.h_series(a))
+    return _checked(f"{a}x{b}", series, FoulkesShape(a, b).omega_size)
 
 
 @lru_cache(maxsize=None)
 def gen_foulkes_series(shape: GeneralizedShape) -> symfunc.PSeries:
+    """Product of the Foulkes series of each block size, checked like them."""
     series = symfunc.h_series(0)
     for size, count in shape.pairs:
         series = symfunc.multiply(series, foulkes_series(size, count))
+    return _checked(f"blocks {format_partition(shape.blocks_partition)}", series,
+                    shape.omega_size)
+
+
+def _checked(label: str, series: symfunc.PSeries, omega_size: int) -> symfunc.PSeries:
+    """The series of a transitive permutation character on |Omega| points:
+    its degree (the coefficient on 1^n) is |Omega|, and it holds the trivial
+    character once, so its coefficients sum to n!. A miss raises
+    ArithmeticError naming the board, which the CLI maps to exit code 1."""
+    n = series.degree
+    identity = series.coeffs.get((1,) * n, 0)
+    if identity != omega_size:
+        raise ArithmeticError(
+            f"{label} series: coefficient on 1^{n} is {identity}, not |Omega| = {omega_size}")
+    total = sum(series.coeffs.values())
+    if total != factorial(n):
+        raise ArithmeticError(f"{label} series: coefficients sum to {total}, not {n}!")
     return series
 
 

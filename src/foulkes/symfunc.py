@@ -239,7 +239,8 @@ def plethysm_h_expansion(b: int, f: PSeries, max_rows: int | None = None,
     int table; shapes past max_rows are pruned at every stage, which is exact
     because insertion never removes a row. The one division, by b! * a!^b,
     happens at the end. `deadline` is a wall-clock budget in seconds for all
-    the stages together.
+    the stages together; running past it raises ComputeBudgetExceeded naming
+    the stage j of b that was running.
     """
     if b < 0:
         raise ValueError("degree must be >= 0")
@@ -252,21 +253,23 @@ def plethysm_h_expansion(b: int, f: PSeries, max_rows: int | None = None,
         for k in range(1, j + 1):
             scaled = [(tuple(k * m for m in mu), c) for mu, c in items]
             weight = factorial(j - 1) // factorial(j - k) * factorial(a) ** (k - 1)
-            for shape, c in _expand_items(scaled, max_rows, stop, stages[j - k]).items():
+            expanded = _expand_items(scaled, max_rows, stop, stages[j - k], f"stage {j} of {b}")
+            for shape, c in expanded.items():
                 table[shape] = table.get(shape, 0) + weight * c
         stages.append({shape: c for shape, c in table.items() if c})
     scale = factorial(b) * factorial(a) ** b
     return {shape: Fraction(c, scale) for shape, c in stages[b].items()}
 
 
-def _expand_items(items, max_rows, stop, seed) -> dict[Partition, int]:
+def _expand_items(items, max_rows, stop, seed, stage) -> dict[Partition, int]:
     """Strip-insertion sums over sorted (ascending parts, coeff) items applied to
-    the seed table {shape: int}, until `stop`, a time.monotonic() reading."""
+    the seed table {shape: int}, until `stop`, a time.monotonic() reading;
+    `stage` names the recursion stage in the time-limit error."""
     out: dict[Partition, int] = {}
 
     def rec(lo: int, hi: int, depth: int, state: dict[Partition, int]) -> None:
         if stop is not None and time.monotonic() > stop:
-            raise ComputeBudgetExceeded("schur expansion passed its time limit")
+            raise ComputeBudgetExceeded(f"plethysm expansion passed its time limit at {stage}")
         i = lo
         while i < hi:
             mu = items[i][0]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pickle
@@ -203,6 +204,26 @@ class TestFailurePaths:
         code, _, err = run(capsys, "census", "2", "3")
         assert code == EXIT_DISCREPANCY
         assert "claim violation" in err
+
+
+PINNED_STDOUT = [
+    ("decompose 3 8 --jobs 1 --max-ab 24",
+     "df900ccd5efd857fbf6344709a44382812c483fb13c51a99b3bcac6a2fb1994e"),
+    ("decompose 3 3 --csv", "0a53bf75a1c5c137e4572792892a7cbaab0db8883addd4c6e54daca7edfa45d7"),
+    ("verify 3 4", "0b4c449bb93611b070120ef1ff1c36b393c668bfca7949d56ef26b30d672c225"),
+    ("multiplicity 3 3 5,2,2", "1e71be6f40016d0fe713712eba96a5d808caed4d93b10ed6781e7a7141ed948b"),
+    ("multiplicity 2 5 6,4", "95d5caab6fc601f1a4ec3ef4d03a5d451ab22f2c95203d4cdb89a00e3aeacfce"),
+    ("restrict 3 4 5", "c79fa1b8bf266b3bd51b12c6318552e80ddfea64937318bd4d235c0237ac6229"),
+    ("hook-coords 7,3,1,1", "b89f4f4f65afe3634a6ed601f156d71e195bfe14617055626908dcea0870fab5"),
+]
+
+
+@pytest.mark.parametrize("command, digest", PINNED_STDOUT, ids=[c for c, _ in PINNED_STDOUT])
+def test_pinned_stdout(capsys, command, digest):
+    # stdout is the contract: these bytes must not change
+    code, out, _ = run(capsys, *command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCharacterCacheDir:

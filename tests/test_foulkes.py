@@ -68,6 +68,30 @@ class TestSeries:
             sh = GeneralizedShape.from_blocks(blocks)
             assert gen_foulkes_series(sh) == brute_foulkes_char(blocks)
 
+    @pytest.mark.parametrize("index, message", [
+        ((1,) * 9, r"3x3 series: coefficient on 1\^9 is 281, not \|Omega\| = 280"),
+        ((9,), r"3x3 series: coefficients sum to 362881, not 9!"),
+    ], ids=["degree", "trivial-once"])
+    def test_series_identities_are_checked(self, monkeypatch, capsys, index, message):
+        plethysm_h = symfunc.plethysm_h
+
+        def one_off(b, f):
+            series = plethysm_h(b, f)
+            coeffs = dict(series.coeffs)
+            coeffs[index] = coeffs.get(index, 0) + 1
+            return symfunc.PSeries(series.degree, coeffs)
+
+        monkeypatch.setattr(symfunc, "plethysm_h", one_off)
+        foulkes_series.cache_clear()
+        gen_foulkes_series.cache_clear()
+        with pytest.raises(ArithmeticError, match=message):
+            multiplicity(FoulkesShape(3, 3), (5, 2, 2))
+        with pytest.raises(ArithmeticError, match=message):
+            gen_multiplicity(GeneralizedShape(((3, 3),)), (5, 2, 2))
+        assert cli.main(["multiplicity", "3", "3", "5,2,2"]) == cli.EXIT_DISCREPANCY
+        out, err = capsys.readouterr()
+        assert out == "" and "3x3 series" in err
+
 
 class TestMultiplicity:
     def test_frozen_small(self):
@@ -215,7 +239,7 @@ class TestDecompose:
         # cold strip cache: an earlier 3x10 table would let this one finish in time
         border_strip_additions.cache_clear()
         start = time.monotonic()
-        with pytest.raises(ComputeBudgetExceeded):
+        with pytest.raises(ComputeBudgetExceeded, match=r"stage \d+ of 10"):
             decompose(FoulkesShape(3, 10), deadline=0.2)
         assert time.monotonic() - start < 0.6
 
@@ -250,6 +274,65 @@ class TestClosedForms:
         expected = {tuple(p for p in (2 * a - 2 * k, 2 * k) if p): 1
                     for k in range(a // 2 + 1)}
         assert dict(decompose(FoulkesShape(a, 2)).nonzero_entries) == expected
+
+
+FOULKES_PAIRS = [(m, n) for m in range(2, 5) for n in range(m + 1, 30 // m + 1)]
+
+
+def foulkes_inequality_misses(m, n):
+    """Shapes whose multiplicity in h_m[h_n] exceeds the one in h_n[h_m].
+
+    Every shape of h_m[h_n] has at most m rows, so both tables are pruned to m.
+    """
+    lhs = symfunc.plethysm_h_expansion(m, symfunc.h_series(n), max_rows=m)
+    rhs = symfunc.plethysm_h_expansion(n, symfunc.h_series(m), max_rows=m)
+    return [lam for lam, c in lhs.items() if c > rhs.get(lam, 0)]
+
+
+def first_row_decreases(b, max_degree=30):
+    """Pairs (a, nu) where the multiplicity of (ab - |nu|, nu) in h_b[h_a]
+    is larger than that of ((a+1)b - |nu|, nu) in h_b[h_(a+1)]."""
+    out = []
+    previous = {}
+    for a in range(1, max_degree // b + 1):
+        table = symfunc.plethysm_h_expansion(b, symfunc.h_series(a), max_rows=b)
+        current = {lam[1:]: c for lam, c in table.items()}
+        out.extend((a - 1, nu) for nu, c in previous.items() if c > current.get(nu, 0))
+        previous = current
+    return out
+
+
+class TestProvenOracles:
+    """Whole tables up to degree 30 against two proven inequalities."""
+
+    @pytest.mark.parametrize("m, n", FOULKES_PAIRS)
+    def test_foulkes_inequality(self, m, n):
+        # h_m[h_n] <= h_n[h_m] coefficientwise for m < n: Thrall (m = 2),
+        # Dent-Siemons (m = 3), McKay (m = 4)
+        assert foulkes_inequality_misses(m, n) == []
+
+    def test_foulkes_inequality_5_6_is_recorded(self, record_property):
+        # m = 5 is not proven in general (Cheung-Ikenmeyer-Mkrtchian), so the
+        # (5, 6) count goes to the test report instead of an assertion
+        record_property("foulkes_inequality_5_6_misses", len(foulkes_inequality_misses(5, 6)))
+
+    @pytest.mark.parametrize("b", range(2, 7))
+    def test_first_row_stability(self, b):
+        # Brion: the multiplicity of (ab - |nu|, nu) weakly increases with a
+        assert first_row_decreases(b) == []
+
+    def test_strip_sign_flip_fails_each_oracle(self, monkeypatch):
+        # flip the sign of every strip that spans more than one row (flipping
+        # every sign twists both sides of the inequality alike)
+        additions = symfunc.border_strip_additions
+
+        def flipped(shape, part, max_rows=None):
+            return [(nshape, height + 1 if height else 0)
+                    for nshape, height in additions(shape, part, max_rows)]
+
+        monkeypatch.setattr(symfunc, "border_strip_additions", flipped)
+        assert any(foulkes_inequality_misses(m, n) for m, n in FOULKES_PAIRS)
+        assert any(first_row_decreases(b) for b in range(2, 7))
 
 
 class TestExactness:

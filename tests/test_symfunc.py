@@ -187,9 +187,9 @@ class TestSchurExpansion:
 
     def test_expired_budget_raises(self):
         series = plethysm_h(4, h_series(2))
-        with pytest.raises(ComputeBudgetExceeded):
+        with pytest.raises(ComputeBudgetExceeded, match="plethysm expansion .* stage 1 of 1"):
             schur_expansion(series, deadline=-1.0)
-        with pytest.raises(ComputeBudgetExceeded):
+        with pytest.raises(ComputeBudgetExceeded, match="plethysm expansion .* stage 1 of 4"):
             plethysm_h_expansion(4, h_series(2), deadline=-1.0)
 
 
