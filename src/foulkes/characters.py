@@ -3,7 +3,9 @@
 Irreducible values come from the Murnaghan-Nakayama recursion on border-strip
 removals, memoized process-wide. Schur coefficients of a whole series are
 summed by a walk over the series' own support (symfunc.schur_coefficient),
-which keeps its own memo and comes here only for single cycle types.
+which keeps its own memo and comes here only for single cycle types. A whole
+class function is held as a symfunc.PSeries, the sum of its values over each
+class.
 """
 
 from __future__ import annotations
