@@ -83,7 +83,7 @@ def _guard_degree(a: int, b: int, max_ab: int) -> FoulkesShape:
 
 def cmd_multiplicity(args) -> int:
     shape = _guard_degree(args.a, args.b, args.max_ab)
-    lam = parse_partition(args.partition)
+    lam = parse_partition(args.partition, weight=shape.degree)
     m = multiplicity(shape, lam, use_fastpath=not args.no_fastpath)
     _emit({"a": args.a, "b": args.b, "lambda": format_partition(lam), "mult": m})
     return EXIT_OK
@@ -180,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-ab", type=int, default=20,
                         help="refuse degrees above this (default 20)")
     common.add_argument("--time-limit", type=_seconds, default=None, metavar="SECONDS",
-                        help="wall-clock budget; exceeding it exits 3")
+                        help="wall-clock budget for decompose, census and verify; "
+                             "exceeding it exits 3 (the other commands ignore it)")
 
     parser = argparse.ArgumentParser(
         prog="foulkes",

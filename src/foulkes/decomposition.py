@@ -128,7 +128,8 @@ def _checked(label: str, series: symfunc.PSeries, omega_size: int) -> symfunc.PS
 
 
 def _exact(label: str, value) -> int:
-    """A multiplicity or pairing as an int; it must be a whole number >= 0."""
+    """A multiplicity or pairing as an int; it must be a whole number >= 0.
+    The label names the board and the route (table, query or pairing)."""
     if value.denominator != 1:
         raise ArithmeticError(f"{label} came out {value}, not an integer")
     if value < 0:
@@ -149,7 +150,7 @@ def multiplicity(shape: FoulkesShape, lam, use_fastpath: bool = True) -> int:
         raise ValueError(f"{lam} is not a partition of {shape.degree}")
     if use_fastpath and not dominates(lam, shape.blocks_partition):
         return 0
-    return _exact(f"multiplicity of {lam}",
+    return _exact(f"{shape.a}x{shape.b} query: multiplicity of {lam}",
                   symfunc.schur_coefficient(foulkes_series(shape.a, shape.b), lam))
 
 
@@ -160,7 +161,8 @@ def gen_multiplicity(shape: GeneralizedShape, lam, use_fastpath: bool = True) ->
         raise ValueError(f"{lam} is not a partition of {shape.degree}")
     if use_fastpath and not dominates(lam, shape.blocks_partition):
         return 0
-    return _exact(f"multiplicity of {lam}",
+    return _exact(f"blocks {format_partition(shape.blocks_partition)} query: "
+                  f"multiplicity of {lam}",
                   symfunc.schur_coefficient(gen_foulkes_series(shape), lam))
 
 
@@ -169,7 +171,8 @@ def exterior_pairing(shape: FoulkesShape, k: int) -> int:
     if not 0 <= k <= shape.degree:
         raise ValueError(f"k must lie in 0..{shape.degree}")
     probe = symfunc.multiply(symfunc.e_series(k), symfunc.h_series(shape.degree - k))
-    return _exact("pairing", symfunc.inner(foulkes_series(shape.a, shape.b), probe))
+    return _exact(f"{shape.a}x{shape.b} pairing: e_{k} h_{shape.degree - k}",
+                  symfunc.inner(foulkes_series(shape.a, shape.b), probe))
 
 
 def orbit_size(a: int, b: int, lam) -> int:
@@ -254,7 +257,8 @@ def decompose(shape: FoulkesShape, use_fastpath: bool = True,
     expansion = symfunc.plethysm_h_expansion(
         shape.b, symfunc.h_series(shape.a), max_rows=max_rows, deadline=deadline)
     entries = tuple(
-        (lam, _exact(f"multiplicity of {lam}", expansion.get(lam, 0)))
+        (lam, _exact(f"{shape.a}x{shape.b} table: multiplicity of {lam}",
+                     expansion.get(lam, 0)))
         for lam in enum_partitions(shape.degree))
     total = sum(c * dimension(lam) for lam, c in expansion.items())
     if total != shape.omega_size:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -26,13 +27,14 @@ def validate_partition(lam) -> Partition:
     return lam
 
 
-def parse_partition(text: str) -> Partition:
+def parse_partition(text: str, weight: int | None = None) -> Partition:
     """Parse text like '7,3,1,1' or '3^10' or '4,2^3,1' into a partition.
 
     Each comma-separated token is INT or INT^COUNT with INT, COUNT >= 1.
-    No whitespace is allowed anywhere.
+    No whitespace is allowed anywhere. With weight set, text whose parts do
+    not sum to it is refused before any repeat is expanded.
     """
-    parts: list[int] = []
+    runs: list[tuple[int, int]] = []
     for token in text.split(","):
         m = _TOKEN.match(token)
         if m is None:
@@ -41,7 +43,10 @@ def parse_partition(text: str) -> Partition:
         count = int(m.group(2)) if m.group(2) else 1
         if value < 1 or count < 1:
             raise ValueError(f"parts and repeat counts must be >= 1: {token!r}")
-        parts.extend([value] * count)
+        runs.append((value, count))
+    if weight is not None and sum(value * count for value, count in runs) != weight:
+        raise ValueError(f"{text} is not a partition of {weight}")
+    parts = [value for value, count in runs for _ in range(count)]
     return tuple(sorted(parts, reverse=True))
 
 
@@ -224,31 +229,44 @@ def centralizer_order(lam: Partition) -> int:
     return z
 
 
+def _move_bead(lam: Partition, slots: int, delta: int) -> Iterator[tuple[Partition, int]]:
+    """Every (shape, height) reached by moving one bead of lam's abacus by delta.
+
+    Row i of lam, padded with zero rows to `slots`, is a bead at beta number
+    lam_i + slots - 1 - i. Moving one by delta > 0 (< 0) into a free position
+    adds (removes) a border strip of length |delta| (James-Kerber 1981, ch. 2).
+    A bead from row i landing in row t moves each row it passes one place and
+    one box, so the shape is slices of lam and the height is |t - i|.
+    """
+    parts = lam + (0,) * (slots - len(lam))
+    beta = [p + slots - 1 - i for i, p in enumerate(parts)]
+    above = 0  # beads above the landing position
+    for i, b in enumerate(beta):
+        nb = b + delta
+        while above < slots and beta[above] > nb:
+            above += 1
+        if nb < 0 or (above < slots and beta[above] == nb):
+            continue
+        t = above if delta > 0 else above - 1
+        moved = nb - (slots - 1 - t)
+        if delta > 0:
+            shape = lam[:t] + (moved,) + tuple(p + 1 for p in parts[t:i]) + lam[i + 1:]
+        else:  # one-box rows, and a bead dropped to the lowest slot, empty out
+            shape = (lam[:i] + tuple(p - 1 for p in lam[i + 1:t + 1] if p > 1)
+                     + ((moved,) if moved else ()) + lam[t + 1:])
+        yield shape, abs(t - i)
+
+
 @lru_cache(maxsize=None)
 def border_strip_removals(lam: Partition, length: int) -> tuple[tuple[Partition, int], ...]:
     """Every way to peel one border strip of the given length off lam.
 
     Returns (smaller shape, height) pairs; height is one less than the number
-    of rows the strip occupies. Computed on first-column beta numbers: a strip
-    removal is a beta value dropping by `length` into an unoccupied slot.
+    of rows the strip occupies.
     """
     if length < 1:
         raise ValueError("strip length must be >= 1")
-    s = len(lam)
-    if s == 0 or length > lam[0] + s - 1:
-        return ()
-    beta = [lam[i] + s - 1 - i for i in range(s)]
-    present = set(beta)
-    out = []
-    for i, bv in enumerate(beta):
-        nb = bv - length
-        if nb < 0 or nb in present:
-            continue
-        height = sum(1 for j in range(i + 1, s) if beta[j] > nb)
-        newbeta = sorted((present - {bv}) | {nb}, reverse=True)
-        parts = (newbeta[idx] - (s - 1 - idx) for idx in range(s))
-        out.append((tuple(p for p in parts if p > 0), height))
-    return tuple(out)
+    return tuple(_move_bead(lam, len(lam), -length))
 
 
 @lru_cache(maxsize=None)
@@ -261,20 +279,5 @@ def border_strip_additions(lam: Partition, length: int,
     """
     if length < 1:
         raise ValueError("strip length must be >= 1")
-    s = len(lam)
-    slots = s + length if max_rows is None else max_rows
-    if s > slots:
-        return ()
-    beta = [lam[i] + slots - 1 - i for i in range(s)]
-    beta += [slots - 1 - i for i in range(s, slots)]
-    present = set(beta)
-    out = []
-    for i, bv in enumerate(beta):
-        nb = bv + length
-        if nb in present:
-            continue
-        height = sum(1 for j in range(i) if beta[j] < nb)
-        newbeta = sorted((present - {bv}) | {nb}, reverse=True)
-        parts = (newbeta[idx] - (slots - 1 - idx) for idx in range(slots))
-        out.append((tuple(p for p in parts if p > 0), height))
-    return tuple(out)
+    slots = len(lam) + length if max_rows is None else max_rows
+    return tuple(_move_bead(lam, slots, length)) if len(lam) <= slots else ()

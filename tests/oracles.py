@@ -5,6 +5,10 @@ package's border-strip recursion: permutation character values of Young
 subgroups are counted by a cycle-distribution argument, then the irreducible
 rows fall out of Gram-Schmidt in an order compatible with dominance. Nothing
 below imports package internals, so agreement is meaningful evidence.
+
+The border-strip oracles at the end work on whole beta sets: each result
+rebuilds the set, sorts it and reads every part back, sharing no slicing
+logic with the package's bead moves.
 """
 
 from collections import Counter
@@ -108,3 +112,43 @@ def oracle_char_table(n):
 
 def oracle_char(lam, mu):
     return oracle_char_table(sum(lam))[tuple(lam)][tuple(sorted(mu, reverse=True))]
+
+
+def oracle_strip_removals(lam, length):
+    """Border-strip removals on a beta-set: (smaller shape, height) pairs."""
+    s = len(lam)
+    if s == 0 or length > lam[0] + s - 1:
+        return ()
+    beta = [lam[i] + s - 1 - i for i in range(s)]
+    present = set(beta)
+    out = []
+    for i, bv in enumerate(beta):
+        nb = bv - length
+        if nb < 0 or nb in present:
+            continue
+        height = sum(1 for j in range(i + 1, s) if beta[j] > nb)
+        newbeta = sorted((present - {bv}) | {nb}, reverse=True)
+        parts = (newbeta[idx] - (s - 1 - idx) for idx in range(s))
+        out.append((tuple(p for p in parts if p > 0), height))
+    return tuple(out)
+
+
+def oracle_strip_additions(lam, length, max_rows=None):
+    """Border-strip additions on a beta-set, capped at max_rows rows if set."""
+    s = len(lam)
+    slots = s + length if max_rows is None else max_rows
+    if s > slots:
+        return ()
+    beta = [lam[i] + slots - 1 - i for i in range(s)]
+    beta += [slots - 1 - i for i in range(s, slots)]
+    present = set(beta)
+    out = []
+    for i, bv in enumerate(beta):
+        nb = bv + length
+        if nb in present:
+            continue
+        height = sum(1 for j in range(i) if beta[j] < nb)
+        newbeta = sorted((present - {bv}) | {nb}, reverse=True)
+        parts = (newbeta[idx] - (slots - 1 - idx) for idx in range(slots))
+        out.append((tuple(p for p in parts if p > 0), height))
+    return tuple(out)

@@ -135,6 +135,16 @@ class TestFailurePaths:
     def test_wrong_weight(self, capsys):
         assert run(capsys, "multiplicity", "2", "3", "5,2")[0] == EXIT_INPUT
 
+    def test_huge_repeat_count_is_refused_unexpanded(self):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(foulkes.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "foulkes.cli", "multiplicity", "3", "6", "1^100000000000"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (EXIT_INPUT, "")
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+        assert "is not a partition of 18" in done.stderr
+
     def test_degree_guard(self, capsys):
         code, _, err = run(capsys, "decompose", "5", "5")
         assert code == EXIT_INPUT

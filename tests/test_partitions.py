@@ -20,6 +20,7 @@ from foulkes.partitions import (
     to_hook_coords,
     validate_partition,
 )
+from oracles import oracle_strip_additions, oracle_strip_removals
 from strats import partitions
 
 from math import factorial
@@ -40,6 +41,11 @@ class TestParsing:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_partition(bad)
+
+    def test_weight_is_checked_before_repeats_expand(self):
+        assert parse_partition("4,2^3", weight=10) == (4, 2, 2, 2)
+        with pytest.raises(ValueError, match="is not a partition of 18"):
+            parse_partition("1^100000000000", weight=18)
 
     def test_format_empty(self):
         assert format_partition(()) == ""
@@ -225,6 +231,17 @@ class TestBorderStrips:
             border_strip_removals((2, 1), 0)
         with pytest.raises(ValueError):
             border_strip_additions((2, 1), -1)
+
+    def test_bead_moves_match_beta_set_oracle(self):
+        # exact tuples, order included, against the sorted beta-set forms
+        for n in range(13):
+            for lam in enum_partitions(n):
+                for length in range(1, 10):
+                    assert border_strip_removals(lam, length) == \
+                        oracle_strip_removals(lam, length)
+                    for cap in (None, 0, 1, 2, 3, 5, 8, 12):
+                        assert border_strip_additions(lam, length, cap) == \
+                            oracle_strip_additions(lam, length, cap)
 
     def test_single_box_additions_match_corners(self):
         out = {shape for shape, h in border_strip_additions((2, 1), 1)}
