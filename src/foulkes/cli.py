@@ -38,7 +38,8 @@ EXIT_INTERRUPT = 4
 
 _SIZE_GUARD_NOTE = (
     "--max-ab bounds the degree for multiplicity, decompose, verify and "
-    "restrict; census is capped at degree 30 unless --allow-large is given.")
+    "restrict, and the shape's weight for hook-coords; census is capped at "
+    "degree 30 unless --allow-large is given.")
 
 
 def _emit(payload: dict) -> None:
@@ -67,10 +68,6 @@ def _jobs(text: str) -> int:
 
 _JOBS_HELP = ("accepted for compatibility and must be >= 1; it changes nothing, "
               "since every table is computed in one process (default 1)")
-
-
-def _parse_opt_partition(text: str):
-    return () if text == "" else parse_partition(text)
 
 
 def _guard_degree(a: int, b: int, max_ab: int) -> FoulkesShape:
@@ -155,12 +152,15 @@ def cmd_hook_coords(args) -> int:
     if by_parts == by_coords:
         raise ValueError("give either a partition or --total/--leg (not both, not neither)")
     if by_parts:
-        coords = to_hook_coords(parse_partition(args.partition))
+        coords = to_hook_coords(parse_partition(args.partition, weight=args.max_ab))
         lam = from_hook_coords(coords)
     else:
         if args.total is None or args.leg is None:
             raise ValueError("--total and --leg are both required to build a shape")
-        inside = _parse_opt_partition(args.inside or "")
+        if args.total > args.max_ab:
+            raise ValueError(
+                f"weight {args.total} is past --max-ab={args.max_ab}; raise it on purpose")
+        inside = parse_partition(args.inside, weight=args.total) if args.inside else ()
         coords = HookCoordinates(total=args.total, leg=args.leg, inside=inside)
         lam = from_hook_coords(coords)
     _emit({
@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--jobs", type=_jobs, default=1, help=_JOBS_HELP)
     common.add_argument("--max-ab", type=int, default=20,
-                        help="refuse degrees above this (default 20)")
+                        help="refuse degrees (for hook-coords, weights) above this "
+                             "(default 20)")
     common.add_argument("--time-limit", type=_seconds, default=None, metavar="SECONDS",
                         help="wall-clock budget for decompose, census and verify; "
                              "exceeding it exits 3 (the other commands ignore it)")

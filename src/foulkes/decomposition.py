@@ -260,9 +260,9 @@ def decompose(shape: FoulkesShape, use_fastpath: bool = True,
         (lam, _exact(f"{shape.a}x{shape.b} table: multiplicity of {lam}",
                      expansion.get(lam, 0)))
         for lam in enum_partitions(shape.degree))
-    total = sum(c * dimension(lam) for lam, c in expansion.items())
-    if total != shape.omega_size:
+    table = DecompositionTable(a=shape.a, b=shape.b, entries=entries)
+    if table.dimension_sum != shape.omega_size:
         raise ArithmeticError(
-            f"{shape.a}x{shape.b} table: sum of mult * dim is {total}, "
+            f"{shape.a}x{shape.b} table: sum of mult * dim is {table.dimension_sum}, "
             f"not |Omega| = {shape.omega_size}")
-    return DecompositionTable(a=shape.a, b=shape.b, entries=entries)
+    return table

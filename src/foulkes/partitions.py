@@ -31,8 +31,8 @@ def parse_partition(text: str, weight: int | None = None) -> Partition:
     """Parse text like '7,3,1,1' or '3^10' or '4,2^3,1' into a partition.
 
     Each comma-separated token is INT or INT^COUNT with INT, COUNT >= 1.
-    No whitespace is allowed anywhere. With weight set, text whose parts do
-    not sum to it is refused before any repeat is expanded.
+    No whitespace is allowed anywhere. With weight set, text whose parts sum
+    past it is refused before any repeat is expanded.
     """
     runs: list[tuple[int, int]] = []
     for token in text.split(","):
@@ -44,8 +44,8 @@ def parse_partition(text: str, weight: int | None = None) -> Partition:
         if value < 1 or count < 1:
             raise ValueError(f"parts and repeat counts must be >= 1: {token!r}")
         runs.append((value, count))
-    if weight is not None and sum(value * count for value, count in runs) != weight:
-        raise ValueError(f"{text} is not a partition of {weight}")
+    if weight is not None and sum(value * count for value, count in runs) > weight:
+        raise ValueError(f"{text} is not a partition of {weight} or less")
     parts = [value for value, count in runs for _ in range(count)]
     return tuple(sorted(parts, reverse=True))
 

@@ -200,6 +200,18 @@ def predictions_for(shape: FoulkesShape, lam) -> tuple[Prediction, ...]:
     return tuple(preds)
 
 
+def _hold(shape: FoulkesShape, rows) -> tuple[list[Discrepancy], int]:
+    """Hold each row's committed predictions against its exact multiplicity:
+    the misses, and how many rows some rule calls zero."""
+    misses, called = [], 0
+    for lam, actual in rows:
+        claims = [p for p in predictions_for(shape, lam) if p.verdict is not Verdict.NO_CLAIM]
+        misses += [Discrepancy(lam, p.rule, p.expected(), actual)
+                   for p in claims if p.expected() != actual]
+        called += any(p.verdict is Verdict.ZERO for p in claims)
+    return misses, called
+
+
 def census(a: int, b: int, jobs: int = 1,
            deadline: float | None = None) -> CensusReport:
     """Count exact zeros among all shapes with at most b rows, and how many of
@@ -213,24 +225,15 @@ def census(a: int, b: int, jobs: int = 1,
     start = time.perf_counter()
     table = decompose(shape, jobs=jobs, deadline=deadline)
     rows = [(lam, actual) for lam, actual in table.entries if len(lam) <= b]
-    zero = predicted = 0
-    for lam, actual in rows:
-        if actual == 0:
-            zero += 1
-        hit = False
-        for pred in predictions_for(shape, lam):
-            if pred.verdict is Verdict.NO_CLAIM:
-                continue
-            if pred.expected() != actual:
-                raise ArithmeticError(
-                    f"rule {pred.rule.value} predicts {pred.expected()} for {lam}, "
-                    f"exact multiplicity is {actual}")
-            hit = hit or pred.verdict is Verdict.ZERO
-        if hit:
-            predicted += 1
-    elapsed = time.perf_counter() - start
+    zero = sum(1 for _, actual in rows if actual == 0)
+    misses, predicted = _hold(shape, rows)
+    if misses:
+        miss = misses[0]
+        raise ArithmeticError(
+            f"{a}x{b} census: rule {miss.rule.value} predicts {miss.expected} for "
+            f"{miss.partition}, exact multiplicity is {miss.actual}")
     return CensusReport(a=a, b=b, total=len(rows), zero=zero,
-                        predicted=predicted, elapsed_seconds=elapsed)
+                        predicted=predicted, elapsed_seconds=time.perf_counter() - start)
 
 
 def verify_all(a: int, b: int, jobs: int = 1,
@@ -243,12 +246,4 @@ def verify_all(a: int, b: int, jobs: int = 1,
     """
     shape = FoulkesShape(a, b)
     table = decompose(shape, use_fastpath=False, jobs=jobs, deadline=deadline)
-    out = []
-    for lam, actual in table.entries:
-        for pred in predictions_for(shape, lam):
-            if pred.verdict is Verdict.NO_CLAIM:
-                continue
-            if pred.expected() != actual:
-                out.append(Discrepancy(partition=lam, rule=pred.rule,
-                                       expected=pred.expected(), actual=actual))
-    return out
+    return _hold(shape, table.entries)[0]

@@ -6,15 +6,21 @@ subgroups are counted by a cycle-distribution argument, then the irreducible
 rows fall out of Gram-Schmidt in an order compatible with dominance. Nothing
 below imports package internals, so agreement is meaningful evidence.
 
-The border-strip oracles at the end work on whole beta sets: each result
-rebuilds the set, sorts it and reads every part back, sharing no slicing
-logic with the package's bead moves.
+The border-strip oracles work on whole beta sets: each result rebuilds the
+set, sorts it and reads every part back, sharing no slicing logic with the
+package's bead moves.
+
+The Weyl-numerator route at the end counts Foulkes multiplicities with no
+characters of the symmetric group at all: weight multiplicities of
+Sym^b(Sym^a C^rows) by a knapsack, then Weyl's alternating sum over S_rows.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial
+from operator import add
 
 
 def oracle_partitions(n):
@@ -152,3 +158,48 @@ def oracle_strip_additions(lam, length, max_rows=None):
         parts = (newbeta[idx] - (slots - 1 - idx) for idx in range(slots))
         out.append((tuple(p for p in parts if p > 0), height))
     return tuple(out)
+
+
+def oracle_weight_multiplicities(a, b, rows):
+    """Weight multiplicities K of Sym^b(Sym^a C^rows), keyed by exponent vector.
+
+    A weight space is spanned by the multisets of b degree-a monomials whose
+    exponent vectors sum to the weight, so K is an unbounded knapsack over
+    the monomials: level k counts the multisets of k of them.
+    """
+    # stars and bars: rows - 1 bars among a + rows - 1 slots, the gaps between
+    # them are the exponents of one degree-a monomial
+    monomials = [tuple(later - earlier - 1 for earlier, later
+                       in zip((-1,) + bars, bars + (a + rows - 1,)))
+                 for bars in combinations(range(a + rows - 1), rows - 1)]
+    levels = [Counter({(0,) * rows: 1})] + [Counter() for _ in range(b)]
+    for mono in monomials:
+        for k in range(1, b + 1):  # ascending, so one monomial may repeat
+            level = levels[k]
+            for weight, count in levels[k - 1].items():
+                level[tuple(w + m for w, m in zip(weight, mono))] += count
+    return levels[b]
+
+
+def oracle_weyl_multiplicities(a, b, rows):
+    """Multiplicity of every shape with at most `rows` rows in h_b[h_a].
+
+    Weyl's character formula read off at the weights (Fulton-Harris, 24.1):
+    the multiplicity of lam is the sum over w in S_rows of
+    sgn(w) K(lam + delta - w delta), with delta = (rows-1, ..., 1, 0).
+    Only characters of GL_rows appear, no symmetric-group characters and no
+    border strips.
+    """
+    weights = oracle_weight_multiplicities(a, b, rows)
+    delta = range(rows - 1, -1, -1)
+    shifts = []
+    for perm in permutations(range(rows)):
+        inversions = sum(1 for i, j in combinations(perm, 2) if i > j)
+        shifts.append(((-1) ** inversions, [d - delta[p] for d, p in zip(delta, perm)]))
+    out = {}
+    for lam in oracle_partitions(a * b):
+        if len(lam) <= rows:
+            padded = lam + (0,) * (rows - len(lam))
+            out[lam] = sum(sign * weights.get(tuple(map(add, padded, shift)), 0)
+                           for sign, shift in shifts)
+    return out

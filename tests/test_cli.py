@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pickle
+import resource
 import subprocess
 import sys
 
@@ -144,6 +145,42 @@ class TestFailurePaths:
         assert (done.returncode, done.stdout) == (EXIT_INPUT, "")
         assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
         assert "is not a partition of 18" in done.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("hook-coords", "1^100000000000"),
+        ("hook-coords", "--total", "100000000000", "--leg", "99999999999"),
+        ("hook-coords", "--total", "10", "--leg", "3", "--inside", "1^100000000000"),
+    ])
+    def test_huge_hook_coords_are_refused_unbuilt(self, argv):
+        # under a 1 GB address-space cap, as the expanded shape would not fit
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(foulkes.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "foulkes.cli", *argv], env=env, capture_output=True,
+            text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+        assert (done.returncode, done.stdout) == (EXIT_INPUT, "")
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+    def test_hook_coords_weight_guard_can_be_raised(self, capsys):
+        for argv in (("hook-coords", "21"), ("hook-coords", "--total", "21", "--leg", "1")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err.startswith("error: ") and "20" in err
+            code, out, _ = run(capsys, *argv, "--max-ab", "21")
+            assert code == EXIT_OK and json.loads(out)["total"] == 21
+
+    def test_census_claim_miss_exits_1(self, capsys, false_hook_claim):
+        code, out, err = run(capsys, "census", "2", "3")
+        assert (code, out) == (EXIT_DISCREPANCY, "")
+        assert err == ("claim violation: 2x3 census: rule hook predicts 0 for (6,), "
+                       "exact multiplicity is 1\n")
+
+    def test_verify_claim_miss_exits_1(self, capsys, false_hook_claim):
+        code, out, _ = run(capsys, "verify", "2", "3")
+        assert code == EXIT_DISCREPANCY
+        assert json.loads(out) == {"a": 2, "b": 3, "discrepancies": [
+            {"lambda": "6", "rule": "hook", "expected": 0, "actual": 1}]}
 
     def test_degree_guard(self, capsys):
         code, _, err = run(capsys, "decompose", "5", "5")

@@ -20,6 +20,7 @@ from foulkes.decomposition import (
 )
 from foulkes.partitions import border_strip_additions, box_partitions, enum_partitions
 from foulkes.symfunc import ComputeBudgetExceeded
+from oracles import oracle_weyl_multiplicities
 from strats import partitions, small_shapes
 
 
@@ -302,6 +303,19 @@ def first_row_decreases(b, max_degree=30):
     return out
 
 
+@pytest.fixture
+def flipped_strip_signs(monkeypatch):
+    """Flip the sign of every strip that spans more than one row (flipping
+    every sign twists both sides of an inequality alike)."""
+    additions = symfunc.border_strip_additions
+
+    def flipped(shape, part, max_rows=None):
+        return [(nshape, height + 1 if height else 0)
+                for nshape, height in additions(shape, part, max_rows)]
+
+    monkeypatch.setattr(symfunc, "border_strip_additions", flipped)
+
+
 class TestProvenOracles:
     """Whole tables up to degree 30 against two proven inequalities."""
 
@@ -321,18 +335,42 @@ class TestProvenOracles:
         # Brion: the multiplicity of (ab - |nu|, nu) weakly increases with a
         assert first_row_decreases(b) == []
 
-    def test_strip_sign_flip_fails_each_oracle(self, monkeypatch):
-        # flip the sign of every strip that spans more than one row (flipping
-        # every sign twists both sides of the inequality alike)
-        additions = symfunc.border_strip_additions
-
-        def flipped(shape, part, max_rows=None):
-            return [(nshape, height + 1 if height else 0)
-                    for nshape, height in additions(shape, part, max_rows)]
-
-        monkeypatch.setattr(symfunc, "border_strip_additions", flipped)
+    def test_strip_sign_flip_fails_each_oracle(self, flipped_strip_signs):
         assert any(foulkes_inequality_misses(m, n) for m, n in FOULKES_PAIRS)
         assert any(first_row_decreases(b) for b in range(2, 7))
+
+
+# every board with ab <= 16, with the number of rows the Weyl route reads
+WEYL_BOARDS = [(a, b, min(b, 5)) for a in range(1, 17) for b in range(1, 16 // a + 1)]
+
+
+def weyl_misses(a, b, rows):
+    """Shapes with at most `rows` rows whose multiplicity in h_b[h_a] differs
+    from the Weyl-numerator count. Pruning the table to `rows` rows is exact."""
+    table = symfunc.plethysm_h_expansion(b, symfunc.h_series(a), max_rows=rows)
+    weyl = oracle_weyl_multiplicities(a, b, rows)
+    return [lam for lam in weyl.keys() | table.keys()
+            if table.get(lam, 0) != weyl.get(lam, 0)]
+
+
+class TestWeylOracle:
+    """Tables against weight multiplicities of Sym^b(Sym^a C^rows) and Weyl's
+    character formula, a route that shares no code with the engine. Reading
+    all of (a^b) would take b rows and b! terms, which is out of reach past
+    about b = 6, so the route reads at most five rows."""
+
+    def test_small_boards(self):
+        assert [board for board in WEYL_BOARDS if weyl_misses(*board)] == []
+
+    def test_3x10_four_rows(self):
+        assert weyl_misses(3, 10, 4) == []
+
+    @pytest.mark.slow
+    def test_3x10_five_rows(self):
+        assert weyl_misses(3, 10, 5) == []
+
+    def test_strip_sign_flip_fails_it(self, flipped_strip_signs):
+        assert any(weyl_misses(*board) for board in WEYL_BOARDS)
 
 
 class TestExactness:

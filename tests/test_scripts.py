@@ -51,3 +51,18 @@ def test_census_budget_exits_3(capsys):
 def test_verify_sweep(capsys):
     assert verify_shapes.main(["--max-degree", "5", "--jobs", "1"]) == 0
     assert capsys.readouterr().out.endswith("10 boards verified clean\n")
+
+
+def test_census_claim_miss_exits_1(capsys, false_hook_claim):
+    assert run_census.main(["--pairs", "2,3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("claim violation: a=2 b=3: 2x3 census: rule hook predicts 0")
+
+
+def test_verify_sweep_reports_each_miss(capsys, false_hook_claim):
+    assert verify_shapes.main(["--max-degree", "6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "MISS a=2 b=3 shape=(6,) rule=hook expected=0 actual=1" in lines
+    # (6,) is on each of the four boards of degree 6
+    assert lines[-1] == "4 discrepancies found"

@@ -5,6 +5,7 @@ from foulkes.decomposition import FoulkesShape, GeneralizedShape, gen_multiplici
 from foulkes.partitions import enum_partitions
 from foulkes.vanishing import (
     CensusReport,
+    Discrepancy,
     Prediction,
     Rule,
     Verdict,
@@ -206,8 +207,16 @@ class TestCensus:
         report = census(2, 3)
         assert report.zero - report.predicted == 1
 
+    def test_claim_miss_raises_naming_the_board(self, false_hook_claim):
+        with pytest.raises(ArithmeticError, match=r"^2x3 census: rule hook predicts 0 "
+                                                  r"for \(6,\), exact multiplicity is 1$"):
+            census(2, 3)
+
 
 class TestVerifyAll:
     @pytest.mark.parametrize("a,b", [(1, 5), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5)])
     def test_small_boards_clean(self, a, b):
         assert verify_all(a, b) == []
+
+    def test_claim_miss_is_returned(self, false_hook_claim):
+        assert verify_all(2, 3) == [Discrepancy((6,), Rule.HOOK, 0, 1)]
