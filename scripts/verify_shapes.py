@@ -13,6 +13,7 @@ import sys
 import time
 
 from foulkes.cli import _JOBS_HELP, _jobs
+from foulkes.partitions import format_partition
 from foulkes.vanishing import verify_all
 
 
@@ -32,8 +33,8 @@ def main(argv=None) -> int:
         if found:
             bad += len(found)
             for d in found:
-                print(f"MISS a={a} b={b} shape={d.partition} rule={d.rule.value} "
-                      f"expected={d.expected} actual={d.actual}")
+                print(f"MISS a={a} b={b} shape={format_partition(d.partition)} "
+                      f"rule={d.rule.value} expected={d.expected} actual={d.actual}")
         else:
             print(f"ok    a={a} b={b} all claims exact [{elapsed:.2f}s]", flush=True)
     if bad:

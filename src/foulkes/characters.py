@@ -1,11 +1,12 @@
 """Symmetric group character values over the integers.
 
 Irreducible values come from the Murnaghan-Nakayama recursion on border-strip
-removals, memoized process-wide. Schur coefficients of a whole series are
-summed by a walk over the series' own support (symfunc.schur_coefficient),
-which keeps its own memo and comes here only for single cycle types. A whole
-class function is held as a symfunc.PSeries, the sum of its values over each
-class.
+removals, each one bead move on the shape's canonical abacus
+(partitions.to_abacus), memoized process-wide. Schur coefficients of a whole
+series are summed by a walk over the series' own support
+(symfunc.schur_coefficient), which keeps its own memo and comes here only for
+single cycle types. A whole class function is held as a symfunc.PSeries, the
+sum of its values over each class.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from math import factorial
 
 from foulkes.partitions import (
     Partition,
-    border_strip_removals,
+    bead_moves,
     conjugate,
+    to_abacus,
     validate_partition,
 )
 
@@ -30,16 +32,17 @@ def mn_char(lam: Partition, mu: Partition) -> int:
             f"shape weight {sum(lam)} differs from class weight {sum(mu)}")
     if mu and mu[-1] < 1:
         raise ValueError(f"cycle lengths must be positive: {mu}")
-    return _mn(lam, mu)
+    return _mn(to_abacus(lam), mu)
 
 
 @lru_cache(maxsize=None)
-def _mn(shape: Partition, cycles: Partition) -> int:
+def _mn(state: int, cycles: Partition) -> int:
+    """The value on cycles of the irreducible whose canonical abacus is state."""
     if not cycles:
         return 1
     total = 0
     rest = cycles[1:]
-    for smaller, height in border_strip_removals(shape, cycles[0]):
+    for smaller, height in bead_moves(state, -cycles[0]):
         value = _mn(smaller, rest)
         total += -value if height % 2 else value
     return total

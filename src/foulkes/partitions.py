@@ -1,4 +1,4 @@
-"""Integer partitions: parsing, orders, hook coordinates, border-strip moves.
+"""Integer partitions: parsing, orders, hook coordinates, abacus bead moves.
 
 A partition is a plain tuple of weakly decreasing positive ints; () is the
 empty partition. Everything here is exact integer arithmetic.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -229,55 +228,67 @@ def centralizer_order(lam: Partition) -> int:
     return z
 
 
-def _move_bead(lam: Partition, slots: int, delta: int) -> Iterator[tuple[Partition, int]]:
-    """Every (shape, height) reached by moving one bead of lam's abacus by delta.
+def to_abacus(lam: Partition, beads: int | None = None) -> int:
+    """lam as an abacus: an int with bit p set for each bead at beta number p.
 
-    Row i of lam, padded with zero rows to `slots`, is a bead at beta number
-    lam_i + slots - 1 - i. Moving one by delta > 0 (< 0) into a free position
-    adds (removes) a border strip of length |delta| (James-Kerber 1981, ch. 2).
-    A bead from row i landing in row t moves each row it passes one place and
-    one box, so the shape is slices of lam and the height is |t - i|.
+    Row i of lam, padded with zero rows to `beads` beads, is a bead at
+    lam_i + beads - 1 - i (James-Kerber 1981, ch. 2). The default of
+    len(lam) beads is the canonical state, which has bit 0 clear; a shape
+    with more than `beads` rows cannot be written and raises.
     """
-    parts = lam + (0,) * (slots - len(lam))
-    beta = [p + slots - 1 - i for i, p in enumerate(parts)]
-    above = 0  # beads above the landing position
-    for i, b in enumerate(beta):
-        nb = b + delta
-        while above < slots and beta[above] > nb:
-            above += 1
-        if nb < 0 or (above < slots and beta[above] == nb):
-            continue
-        t = above if delta > 0 else above - 1
-        moved = nb - (slots - 1 - t)
-        if delta > 0:
-            shape = lam[:t] + (moved,) + tuple(p + 1 for p in parts[t:i]) + lam[i + 1:]
-        else:  # one-box rows, and a bead dropped to the lowest slot, empty out
-            shape = (lam[:i] + tuple(p - 1 for p in lam[i + 1:t + 1] if p > 1)
-                     + ((moved,) if moved else ()) + lam[t + 1:])
-        yield shape, abs(t - i)
+    if beads is None:
+        beads = len(lam)
+    if len(lam) > beads:
+        raise ValueError(f"{lam} has more than {beads} rows")
+    state = (1 << beads - len(lam)) - 1
+    for i, p in enumerate(lam):
+        state |= 1 << p + beads - 1 - i
+    return state
 
 
-@lru_cache(maxsize=None)
-def border_strip_removals(lam: Partition, length: int) -> tuple[tuple[Partition, int], ...]:
-    """Every way to peel one border strip of the given length off lam.
+def from_abacus(state: int) -> Partition:
+    """The partition of an abacus with any number of beads; zero rows drop."""
+    parts = []
+    below = 0
+    while state:
+        bead = state & -state
+        state ^= bead
+        part = bead.bit_length() - 1 - below
+        below += 1
+        if part:
+            parts.append(part)
+    return tuple(parts[::-1])
 
-    Returns (smaller shape, height) pairs; height is one less than the number
-    of rows the strip occupies.
+
+def bead_moves(state: int, delta: int) -> list[tuple[int, int]]:
+    """Every (state, height) reached by moving one bead of the abacus by delta.
+
+    A bead moving from p to a free p + delta adds (delta > 0) or removes
+    (delta < 0) a border strip of length |delta|; the strip's height, one less
+    than the rows it spans, is the number of beads strictly between p and
+    p + delta. Additions keep the bead count, so a shape needing more rows
+    than there are beads is never produced. A removal that lands a bead on
+    position 0 shifts out the trailing beads, the zero rows, so a canonical
+    state (see to_abacus) stays canonical.
     """
-    if length < 1:
-        raise ValueError("strip length must be >= 1")
-    return tuple(_move_bead(lam, len(lam), -length))
-
-
-@lru_cache(maxsize=None)
-def border_strip_additions(lam: Partition, length: int,
-                           max_rows: int | None = None) -> tuple[tuple[Partition, int], ...]:
-    """Every way to grow lam by one border strip of the given length.
-
-    With max_rows set, results needing more rows are suppressed; every result
-    with at most max_rows rows is still produced, exactly.
-    """
-    if length < 1:
-        raise ValueError("strip length must be >= 1")
-    slots = len(lam) + length if max_rows is None else max_rows
-    return tuple(_move_bead(lam, slots, length)) if len(lam) <= slots else ()
+    out = []
+    if delta > 0:
+        beads = state & ~(state >> delta)
+        while beads:
+            bead = beads & -beads
+            beads ^= bead
+            dest = bead << delta
+            out.append((state ^ bead ^ dest, (state & dest - (bead << 1)).bit_count()))
+    elif delta < 0:
+        beads = (state & ~(state << -delta)) >> -delta << -delta
+        while beads:
+            bead = beads & -beads
+            beads ^= bead
+            dest = bead >> -delta
+            moved = state ^ bead ^ dest
+            if dest == 1:
+                moved >>= (~moved & moved + 1).bit_length() - 1
+            out.append((moved, (state & bead - (dest << 1)).bit_count()))
+    else:
+        raise ValueError("a bead move needs a nonzero strip length")
+    return out

@@ -26,10 +26,11 @@ from math import comb, factorial
 from foulkes.characters import _mn, mn_char
 from foulkes.partitions import (
     Partition,
-    border_strip_additions,
-    border_strip_removals,
+    bead_moves,
     centralizer_order,
     enum_partitions,
+    from_abacus,
+    to_abacus,
     validate_partition,
 )
 
@@ -79,7 +80,8 @@ class _SupportTrie:
         self.kids: list[tuple[tuple[int, int], ...]] = []
         self.chain: list[tuple[int, Partition] | None] = []
         self._add(sorted(coeffs.items(), reverse=True), 0)
-        self.memo: dict[tuple[Partition, int], int] = {}
+        self.nodes = len(self.kids)
+        self.memo: dict[int, int] = {}
 
     def _add(self, items: list[tuple[Partition, int]], depth: int) -> int:
         """Add the node holding items, which share their first depth parts."""
@@ -95,20 +97,29 @@ class _SupportTrie:
                 for part, group in groupby(items, key=lambda item: item[0][depth]))
         return node
 
-    def walk(self, shape: Partition, node: int) -> int:
-        """Sum over the cycle types below node of c * chi^shape(remaining parts)."""
+    def walk(self, state: int, node: int) -> int:
+        """Sum over the cycle types below node of c * chi^shape(remaining parts),
+        for the shape whose canonical abacus is state (partitions.to_abacus).
+        The memo key packs (state, node) into one int."""
         chain = self.chain[node]
         if chain is not None:
-            return chain[0] * _mn(shape, chain[1])
-        key = (shape, node)
-        total = self.memo.get(key)
+            return chain[0] * _mn(state, chain[1])
+        memo, nodes = self.memo, self.nodes
+        key = state * nodes + node
+        total = memo.get(key)
         if total is None:
             total = 0
             for part, child in self.kids[node]:
-                for smaller, height in border_strip_removals(shape, part):
-                    value = self.walk(smaller, child)
+                tail = self.chain[child]
+                for smaller, height in bead_moves(state, -part):
+                    if tail is not None:
+                        value = tail[0] * _mn(smaller, tail[1])
+                    else:
+                        value = memo.get(smaller * nodes + child)
+                        if value is None:
+                            value = self.walk(smaller, child)
                     total += -value if height % 2 else value
-            self.memo[key] = total
+            memo[key] = total
         return total
 
 
@@ -204,13 +215,15 @@ def schur_coefficient(f: PSeries, lam: Partition) -> Fraction:
     largest strip first prunes soonest): each step peels one border strip
     off lam. A subtree holding a single cycle type falls through to the
     character memo, so a first query costs no more than the plain sum over
-    the support. The walk's memo, keyed by (shape, trie node), lives with
-    the series, so repeated queries on one series share their work.
+    the support. Shapes are canonical abacus states and a strip is one bead
+    move. The walk's memo, keyed by (state, trie node), lives with the
+    series, so repeated queries on one series share their work, whatever
+    their number of rows.
     """
     lam = validate_partition(lam)
     if sum(lam) != f.degree:
         raise ValueError(f"shape weight {sum(lam)} differs from series degree {f.degree}")
-    return Fraction(f._support_trie.walk(lam, 0), factorial(f.degree))
+    return Fraction(f._support_trie.walk(to_abacus(lam), 0), factorial(f.degree))
 
 
 def schur_expansion(f: PSeries, max_rows: int | None = None,
@@ -236,38 +249,42 @@ def plethysm_h_expansion(b: int, f: PSeries, max_rows: int | None = None,
     where Q_k is f's support with every part scaled by k (that is, a! times
     p_k[f]) and each product is one strip-insertion pass over the ascending
     trie of f's support, seeded with the table T_(j-k). Every stage is an
-    int table; shapes past max_rows are pruned at every stage, which is exact
-    because insertion never removes a row. The one division, by b! * a!^b,
-    happens at the end. `deadline` is a wall-clock budget in seconds for all
-    the stages together; running past it raises ComputeBudgetExceeded naming
-    the stage j of b that was running.
+    int table keyed by abacus states of L = max_rows beads (b * a when
+    unpruned), and each strip is one bead moving up. A shape with more than
+    L rows cannot be written, so the row cap is exact and costs nothing, as
+    insertion never removes a row. Only at the end do states become tuples
+    and the coefficients get their one division, by b! * a!^b. `deadline`
+    is a wall-clock budget in seconds for all the stages together; running
+    past it raises ComputeBudgetExceeded naming the stage j of b that was
+    running.
     """
     if b < 0:
         raise ValueError("degree must be >= 0")
     stop = None if deadline is None else time.monotonic() + deadline
     a = f.degree
+    beads = b * a if max_rows is None else min(max_rows, b * a)
     items = sorted((mu[::-1], c) for mu, c in f.coeffs.items())
-    stages: list[dict[Partition, int]] = [{(): 1}]
+    stages: list[dict[int, int]] = [{to_abacus((), beads): 1}]
     for j in range(1, b + 1):
-        table: dict[Partition, int] = {}
+        table: dict[int, int] = {}
         for k in range(1, j + 1):
             scaled = [(tuple(k * m for m in mu), c) for mu, c in items]
             weight = factorial(j - 1) // factorial(j - k) * factorial(a) ** (k - 1)
-            expanded = _expand_items(scaled, max_rows, stop, stages[j - k], f"stage {j} of {b}")
-            for shape, c in expanded.items():
-                table[shape] = table.get(shape, 0) + weight * c
-        stages.append({shape: c for shape, c in table.items() if c})
+            expanded = _expand_items(scaled, stop, stages[j - k], f"stage {j} of {b}")
+            for state, c in expanded.items():
+                table[state] = table.get(state, 0) + weight * c
+        stages.append({state: c for state, c in table.items() if c})
     scale = factorial(b) * factorial(a) ** b
-    return {shape: Fraction(c, scale) for shape, c in stages[b].items()}
+    return {from_abacus(state): Fraction(c, scale) for state, c in stages[b].items()}
 
 
-def _expand_items(items, max_rows, stop, seed, stage) -> dict[Partition, int]:
+def _expand_items(items, stop, seed, stage) -> dict[int, int]:
     """Strip-insertion sums over sorted (ascending parts, coeff) items applied to
-    the seed table {shape: int}, until `stop`, a time.monotonic() reading;
-    `stage` names the recursion stage in the time-limit error."""
-    out: dict[Partition, int] = {}
+    the seed table {abacus state: int}, until `stop`, a time.monotonic()
+    reading; `stage` names the recursion stage in the time-limit error."""
+    out: dict[int, int] = {}
 
-    def rec(lo: int, hi: int, depth: int, state: dict[Partition, int]) -> None:
+    def rec(lo: int, hi: int, depth: int, table: dict[int, int]) -> None:
         if stop is not None and time.monotonic() > stop:
             raise ComputeBudgetExceeded(f"plethysm expansion passed its time limit at {stage}")
         i = lo
@@ -275,18 +292,18 @@ def _expand_items(items, max_rows, stop, seed, stage) -> dict[Partition, int]:
             mu = items[i][0]
             if len(mu) == depth:
                 c = items[i][1]
-                for shape, m in state.items():
-                    out[shape] = out.get(shape, 0) + c * m
+                for state, m in table.items():
+                    out[state] = out.get(state, 0) + c * m
                 i += 1
                 continue
             part = mu[depth]
             j = i
             while j < hi and len(items[j][0]) > depth and items[j][0][depth] == part:
                 j += 1
-            nxt: dict[Partition, int] = {}
-            for shape, m in state.items():
-                for nshape, height in border_strip_additions(shape, part, max_rows):
-                    nxt[nshape] = nxt.get(nshape, 0) + (-m if height % 2 else m)
+            nxt: dict[int, int] = {}
+            for state, m in table.items():
+                for moved, height in bead_moves(state, part):
+                    nxt[moved] = nxt.get(moved, 0) + (-m if height % 2 else m)
             nxt = {k: v for k, v in nxt.items() if v}
             if nxt:
                 rec(i, j, depth + 1, nxt)

@@ -16,6 +16,7 @@ from foulkes.decomposition import FoulkesShape, GeneralizedShape, decompose
 from foulkes.partitions import (
     Partition,
     count_box_partitions,
+    format_partition,
     hook_leg,
     to_hook_coords,
     validate_partition,
@@ -231,7 +232,7 @@ def census(a: int, b: int, jobs: int = 1,
         miss = misses[0]
         raise ArithmeticError(
             f"{a}x{b} census: rule {miss.rule.value} predicts {miss.expected} for "
-            f"{miss.partition}, exact multiplicity is {miss.actual}")
+            f"lambda={format_partition(miss.partition)}; exact multiplicity is {miss.actual}")
     return CensusReport(a=a, b=b, total=len(rows), zero=zero,
                         predicted=predicted, elapsed_seconds=time.perf_counter() - start)
 

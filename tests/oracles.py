@@ -7,8 +7,8 @@ rows fall out of Gram-Schmidt in an order compatible with dominance. Nothing
 below imports package internals, so agreement is meaningful evidence.
 
 The border-strip oracles work on whole beta sets: each result rebuilds the
-set, sorts it and reads every part back, sharing no slicing logic with the
-package's bead moves.
+set, sorts it and reads every part back, sharing no bit arithmetic with the
+package's bead moves on an int abacus.
 
 The Weyl-numerator route at the end counts Foulkes multiplicities with no
 characters of the symmetric group at all: weight multiplicities of

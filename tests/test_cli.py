@@ -173,7 +173,7 @@ class TestFailurePaths:
     def test_census_claim_miss_exits_1(self, capsys, false_hook_claim):
         code, out, err = run(capsys, "census", "2", "3")
         assert (code, out) == (EXIT_DISCREPANCY, "")
-        assert err == ("claim violation: 2x3 census: rule hook predicts 0 for (6,), "
+        assert err == ("claim violation: 2x3 census: rule hook predicts 0 for lambda=6; "
                        "exact multiplicity is 1\n")
 
     def test_verify_claim_miss_exits_1(self, capsys, false_hook_claim):

@@ -18,7 +18,7 @@ from foulkes.decomposition import (
     multiplicity,
     orbit_size,
 )
-from foulkes.partitions import border_strip_additions, box_partitions, enum_partitions
+from foulkes.partitions import box_partitions, enum_partitions
 from foulkes.symfunc import ComputeBudgetExceeded
 from oracles import oracle_weyl_multiplicities
 from strats import partitions, small_shapes
@@ -94,6 +94,59 @@ class TestSeries:
         assert out == "" and "3x3 series" in err
 
 
+# boards of degree 12, whose 77 shapes include many with more than b rows
+WHOLE_BOARDS = [(2, 6), (3, 4), (4, 3)]
+
+
+def query_misses(a, b):
+    """Shapes of 12 whose point query on the a x b board disagrees with the
+    unpruned table, or fails its exactness check. The queries share one
+    series, so the walk's memo is reused across the whole board, more rows
+    than b included."""
+    shape = FoulkesShape(a, b)
+    table = decompose(shape, use_fastpath=False)
+    assert len(table.entries) == 77
+    misses = []
+    for lam, mult in table.entries:
+        try:
+            if multiplicity(shape, lam, use_fastpath=False) != mult:
+                misses.append(lam)
+        except ArithmeticError:
+            misses.append(lam)
+    return misses
+
+
+def flip_strip_signs(monkeypatch, removals):
+    """Flip the sign of every strip that spans more than one row (flipping
+    every sign twists both sides of an inequality alike), on the bead moves
+    up that build tables or on the moves down that answer queries."""
+    moves = symfunc.bead_moves
+
+    def flipped(state, delta):
+        out = moves(state, delta)
+        if (delta < 0) != removals:
+            return out
+        return [(moved, height + 1 if height else 0) for moved, height in out]
+
+    monkeypatch.setattr(symfunc, "bead_moves", flipped)
+
+
+@pytest.fixture
+def flipped_strip_signs(monkeypatch):
+    flip_strip_signs(monkeypatch, removals=False)
+
+
+@pytest.fixture
+def flipped_removal_signs(monkeypatch):
+    # the walk's memo lives with the cached series: start and end on fresh ones
+    for cached in (foulkes_series, gen_foulkes_series):
+        cached.cache_clear()
+    flip_strip_signs(monkeypatch, removals=True)
+    yield
+    for cached in (foulkes_series, gen_foulkes_series):
+        cached.cache_clear()
+
+
 class TestMultiplicity:
     def test_frozen_small(self):
         sh = FoulkesShape(2, 3)
@@ -112,15 +165,12 @@ class TestMultiplicity:
         assert multiplicity(FoulkesShape(a, b), lam, use_fastpath=True) == \
             multiplicity(FoulkesShape(a, b), lam, use_fastpath=False)
 
-    @pytest.mark.parametrize("a,b", [(2, 6), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("a,b", WHOLE_BOARDS)
     def test_whole_board_matches_table(self, a, b):
-        # every shape of 12 on one series, more rows than b included, so the
-        # walk's memo is reused across the whole board
-        shape = FoulkesShape(a, b)
-        table = decompose(shape, use_fastpath=False)
-        assert len(table.entries) == 77
-        for lam, mult in table.entries:
-            assert multiplicity(shape, lam, use_fastpath=False) == mult, lam
+        assert query_misses(a, b) == []
+
+    def test_removal_sign_flip_fails_it(self, flipped_removal_signs):
+        assert any(query_misses(a, b) for a, b in WHOLE_BOARDS)
 
     @pytest.mark.slow
     def test_3x10_table_matches_point_queries(self):
@@ -237,11 +287,10 @@ class TestDecompose:
             decompose(FoulkesShape(2, 3), jobs=0)
 
     def test_deadline_bounds_the_whole_table(self):
-        # cold strip cache: an earlier 3x10 table would let this one finish in time
-        border_strip_additions.cache_clear()
+        # the 3x13 table takes over a second, and nothing is memoized across tables
         start = time.monotonic()
-        with pytest.raises(ComputeBudgetExceeded, match=r"stage \d+ of 10"):
-            decompose(FoulkesShape(3, 10), deadline=0.2)
+        with pytest.raises(ComputeBudgetExceeded, match=r"stage \d+ of 13"):
+            decompose(FoulkesShape(3, 13), deadline=0.2)
         assert time.monotonic() - start < 0.6
 
     def test_table_must_account_for_every_set_partition(self, monkeypatch, capsys):
@@ -301,19 +350,6 @@ def first_row_decreases(b, max_degree=30):
         out.extend((a - 1, nu) for nu, c in previous.items() if c > current.get(nu, 0))
         previous = current
     return out
-
-
-@pytest.fixture
-def flipped_strip_signs(monkeypatch):
-    """Flip the sign of every strip that spans more than one row (flipping
-    every sign twists both sides of an inequality alike)."""
-    additions = symfunc.border_strip_additions
-
-    def flipped(shape, part, max_rows=None):
-        return [(nshape, height + 1 if height else 0)
-                for nshape, height in additions(shape, part, max_rows)]
-
-    monkeypatch.setattr(symfunc, "border_strip_additions", flipped)
 
 
 class TestProvenOracles:

@@ -3,8 +3,7 @@ from hypothesis import given, strategies as st
 
 from foulkes.partitions import (
     HookCoordinates,
-    border_strip_additions,
-    border_strip_removals,
+    bead_moves,
     box_partitions,
     centralizer_order,
     conjugate,
@@ -13,10 +12,12 @@ from foulkes.partitions import (
     enum_partitions,
     fits_inside,
     format_partition,
+    from_abacus,
     from_hook_coords,
     hook_leg,
     parse_partition,
     pieri_add,
+    to_abacus,
     to_hook_coords,
     validate_partition,
 )
@@ -202,47 +203,88 @@ class TestCentralizer:
                    for mu in enum_partitions(n)) == factorial(n)
 
 
+def removals(lam, length):
+    """(shape, height) pairs from bead moves down on lam's canonical abacus."""
+    return [(from_abacus(state), height)
+            for state, height in bead_moves(to_abacus(lam), -length)]
+
+
+def additions(lam, length, beads):
+    """(shape, height) pairs from bead moves up on lam's abacus of `beads` beads."""
+    return [(from_abacus(state), height)
+            for state, height in bead_moves(to_abacus(lam, beads), length)]
+
+
+class TestAbacus:
+    def test_round_trip(self):
+        for n in range(13):
+            for lam in enum_partitions(n):
+                assert from_abacus(to_abacus(lam)) == lam
+                assert to_abacus(lam) & 1 == 0
+                for beads in range(len(lam), 14):
+                    assert from_abacus(to_abacus(lam, beads)) == lam
+
+    def test_frozen(self):
+        # beta numbers of (3, 1): 6, 3, 1, 0 on four beads, 4, 1 on two
+        assert to_abacus((3, 1), 4) == 0b1001011
+        assert to_abacus((3, 1)) == 0b10010
+        assert to_abacus(()) == 0 and from_abacus(0) == ()
+
+    def test_too_few_beads_rejected(self):
+        with pytest.raises(ValueError, match="more than 1 rows"):
+            to_abacus((2, 1), 1)
+
+
 class TestBorderStrips:
     @given(partitions(max_weight=10), st.integers(1, 6))
     def test_removal_addition_inverse(self, lam, length):
-        for smaller, height in border_strip_removals(lam, length):
-            assert (lam, height) in border_strip_additions(smaller, length)
+        for smaller, height in removals(lam, length):
+            assert (lam, height) in additions(smaller, length, len(lam))
 
     @given(partitions(max_weight=9), st.integers(1, 6), st.integers(0, 6))
     def test_addition_row_cap_is_a_filter(self, lam, length, cap):
         if len(lam) > cap:
-            assert border_strip_additions(lam, length, cap) == ()
+            with pytest.raises(ValueError):
+                to_abacus(lam, cap)
             return
-        capped = set(border_strip_additions(lam, length, cap))
-        full = {
-            (shape, h) for shape, h in border_strip_additions(lam, length)
-            if len(shape) <= cap
-        }
+        capped = set(additions(lam, length, cap))
+        full = {(shape, h) for shape, h in additions(lam, length, len(lam) + length)
+                if len(shape) <= cap}
         assert capped == full
 
     @given(partitions(max_weight=10), st.integers(1, 6))
     def test_removed_weight(self, lam, length):
-        for smaller, height in border_strip_removals(lam, length):
+        for smaller, height in removals(lam, length):
             assert sum(smaller) == sum(lam) - length
             assert 0 <= height < length
 
+    def test_removals_stay_canonical(self):
+        for n in range(11):
+            for lam in enum_partitions(n):
+                for length in range(1, n + 1):
+                    for state, _ in bead_moves(to_abacus(lam), -length):
+                        assert state == to_abacus(from_abacus(state))
+
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
-            border_strip_removals((2, 1), 0)
-        with pytest.raises(ValueError):
-            border_strip_additions((2, 1), -1)
+            bead_moves(to_abacus((2, 1)), 0)
 
     def test_bead_moves_match_beta_set_oracle(self):
-        # exact tuples, order included, against the sorted beta-set forms
+        # exact tuples against the sorted beta-set forms; the oracles list rows
+        # top down, the bead moves run from the lowest bead up
         for n in range(13):
             for lam in enum_partitions(n):
-                for length in range(1, 10):
-                    assert border_strip_removals(lam, length) == \
+                for length in range(1, 13):
+                    assert tuple(removals(lam, length)[::-1]) == \
                         oracle_strip_removals(lam, length)
                     for cap in (None, 0, 1, 2, 3, 5, 8, 12):
-                        assert border_strip_additions(lam, length, cap) == \
-                            oracle_strip_additions(lam, length, cap)
+                        beads = len(lam) + length if cap is None else cap
+                        expected = oracle_strip_additions(lam, length, cap)
+                        if len(lam) > beads:
+                            assert expected == ()
+                        else:
+                            assert tuple(additions(lam, length, beads)[::-1]) == expected
 
     def test_single_box_additions_match_corners(self):
-        out = {shape for shape, h in border_strip_additions((2, 1), 1)}
+        out = {shape for shape, h in additions((2, 1), 1, 3)}
         assert out == {(3, 1), (2, 2), (2, 1, 1)}

@@ -63,6 +63,6 @@ def test_census_claim_miss_exits_1(capsys, false_hook_claim):
 def test_verify_sweep_reports_each_miss(capsys, false_hook_claim):
     assert verify_shapes.main(["--max-degree", "6"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "MISS a=2 b=3 shape=(6,) rule=hook expected=0 actual=1" in lines
+    assert "MISS a=2 b=3 shape=6 rule=hook expected=0 actual=1" in lines
     # (6,) is on each of the four boards of degree 6
     assert lines[-1] == "4 discrepancies found"

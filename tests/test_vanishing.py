@@ -209,7 +209,7 @@ class TestCensus:
 
     def test_claim_miss_raises_naming_the_board(self, false_hook_claim):
         with pytest.raises(ArithmeticError, match=r"^2x3 census: rule hook predicts 0 "
-                                                  r"for \(6,\), exact multiplicity is 1$"):
+                                                  r"for lambda=6; exact multiplicity is 1$"):
             census(2, 3)
 
 
