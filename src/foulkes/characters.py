@@ -2,11 +2,10 @@
 
 Irreducible values come from the Murnaghan-Nakayama recursion on border-strip
 removals, each one bead move on the shape's canonical abacus
-(partitions.to_abacus), memoized process-wide. Schur coefficients of a whole
-series are summed by a walk over the series' own support
-(symfunc.schur_coefficient), which keeps its own memo and comes here only for
-single cycle types. A whole class function is held as a symfunc.PSeries, the
-sum of its values over each class.
+(partitions.to_abacus), memoized process-wide. No multiplicity is computed
+here: tables and point queries run the plethysm recursion in the Schur basis
+(symfunc.plethysm_h_expansion and symfunc.plethysm_h_pull). A whole class
+function is held as a symfunc.PSeries, the sum of its values over each class.
 """
 
 from __future__ import annotations

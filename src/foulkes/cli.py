@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=int, help="block count")
     p.add_argument("partition", help="shape, like 7,3,1,1 or 4,2^3")
     p.add_argument("--no-fastpath", action="store_true",
-                   help="skip the structural zero shortcuts")
+                   help="run the pull recursion unpruned: no dominance shortcut, and "
+                        "shapes with more rows than blocks are followed too")
     p.set_defaults(func=cmd_multiplicity)
 
     p = sub.add_parser("decompose", parents=[common],

@@ -101,16 +101,6 @@ def foulkes_series(a: int, b: int) -> symfunc.PSeries:
     return _checked(f"{a}x{b}", series, FoulkesShape(a, b).omega_size)
 
 
-@lru_cache(maxsize=None)
-def gen_foulkes_series(shape: GeneralizedShape) -> symfunc.PSeries:
-    """Product of the Foulkes series of each block size, checked like them."""
-    series = symfunc.h_series(0)
-    for size, count in shape.pairs:
-        series = symfunc.multiply(series, foulkes_series(size, count))
-    return _checked(f"blocks {format_partition(shape.blocks_partition)}", series,
-                    shape.omega_size)
-
-
 def _checked(label: str, series: symfunc.PSeries, omega_size: int) -> symfunc.PSeries:
     """The series of a transitive permutation character on |Omega| points:
     its degree (the coefficient on 1^n) is |Omega|, and it holds the trivial
@@ -140,30 +130,43 @@ def _exact(label: str, value) -> int:
 def multiplicity(shape: FoulkesShape, lam, use_fastpath: bool = True) -> int:
     """Multiplicity of the irreducible indexed by lam in the Foulkes character.
 
-    The fast path skips the character sum when lam fails to dominate the
-    all-blocks-equal shape (a^b), which forces zero. That covers every shape
-    with more rows than blocks: its first b rows hold fewer than a*b boxes.
-    Pass use_fastpath=False to force the full sum.
+    The fast path answers zero when lam fails to dominate the all-blocks-equal
+    shape (a^b), which covers every shape with more rows than blocks, and
+    prunes the pull recursion the same way (symfunc.plethysm_h_pull). Pass
+    use_fastpath=False to run the recursion unpruned.
     """
-    lam = validate_partition(lam)
-    if sum(lam) != shape.degree:
-        raise ValueError(f"{lam} is not a partition of {shape.degree}")
-    if use_fastpath and not dominates(lam, shape.blocks_partition):
-        return 0
-    return _exact(f"{shape.a}x{shape.b} query: multiplicity of {lam}",
-                  symfunc.schur_coefficient(foulkes_series(shape.a, shape.b), lam))
+    return _query(f"{shape.a}x{shape.b}", shape, lam, use_fastpath)
 
 
 def gen_multiplicity(shape: GeneralizedShape, lam, use_fastpath: bool = True) -> int:
     """Multiplicity of the irreducible indexed by lam in the generalized character."""
+    return _query(f"blocks {format_partition(shape.blocks_partition)}", shape, lam,
+                  use_fastpath)
+
+
+# One checked pull, and so one memo, per (blocks, use_fastpath), for the process.
+_PULLS: dict = {}
+
+
+def _query(label: str, shape, lam, use_fastpath: bool) -> int:
+    """One point query on the product of h_b[h_a] over shape's blocks. The
+    first query of a (blocks, mode) pair checks that the trivial character
+    appears exactly once; a miss raises ArithmeticError naming the board."""
     lam = validate_partition(lam)
     if sum(lam) != shape.degree:
         raise ValueError(f"{lam} is not a partition of {shape.degree}")
-    if use_fastpath and not dominates(lam, shape.blocks_partition):
+    blocks = shape.blocks_partition
+    if use_fastpath and not dominates(lam, blocks):
         return 0
-    return _exact(f"blocks {format_partition(shape.blocks_partition)} query: "
-                  f"multiplicity of {lam}",
-                  symfunc.schur_coefficient(gen_foulkes_series(shape), lam))
+    pull = _PULLS.get((blocks, use_fastpath))
+    if pull is None:
+        pull = symfunc.plethysm_h_pull(blocks, use_fastpath)
+        trivial = pull((shape.degree,) if shape.degree else ())
+        if trivial != 1:
+            raise ArithmeticError(
+                f"{label} query: the trivial character appears {trivial} times, not once")
+        _PULLS[blocks, use_fastpath] = pull
+    return _exact(f"{label} query: multiplicity of {lam}", pull(lam))
 
 
 def exterior_pairing(shape: FoulkesShape, k: int) -> int:

@@ -246,6 +246,16 @@ def to_abacus(lam: Partition, beads: int | None = None) -> int:
     return state
 
 
+def bead_positions(state: int) -> list[int]:
+    """The positions of an abacus' beads, lowest first."""
+    out = []
+    while state:
+        bead = state & -state
+        state ^= bead
+        out.append(bead.bit_length() - 1)
+    return out
+
+
 def from_abacus(state: int) -> Partition:
     """The partition of an abacus with any number of beads; zero rows drop."""
     parts = []
@@ -291,4 +301,77 @@ def bead_moves(state: int, delta: int) -> list[tuple[int, int]]:
             out.append((moved, (state & bead - (dest << 1)).bit_count()))
     else:
         raise ValueError("a bead move needs a nonzero strip length")
+    return out
+
+
+def ribbon_strips(state: int, k: int, count: int, floor: bool = False,
+                  positions: list[int] | None = None) -> list[tuple[int, int]]:
+    """Every (state, height) reached by removing a horizontal strip of `count`
+    ribbons of length k (the ribbon Pieri rule, Lascoux-Leclerc-Thibon 1997).
+
+    With the abacus read as k runners by residue mod k, such a strip moves
+    beads down their runners by steps of k, `count` steps in all, each bead
+    staying strictly above the old position of the next bead below it on its
+    runner; so no move ever lands on a bead, in whatever order they are
+    made. A bead moving m steps removes m ribbons, whose heights add up to
+    the number of beads strictly between its old and new position when it
+    moves. The height returned is that sum over the moves, and its parity is
+    the strip's sign, which no order of the moves changes. With `floor`,
+    only strips leaving the bottom k rows empty are made: the lowest bead of
+    each runner r is forced onto position r, and those moves are made first.
+    The bead count never changes. `positions` may pass bead_positions(state)
+    in when the caller already has it.
+    """
+    if k < 1 or count < 0:
+        raise ValueError("a ribbon strip needs length >= 1 and count >= 0")
+    if positions is None:
+        positions = bead_positions(state)
+    last = [-1] * k
+    free = []
+    height = 0
+    for p in positions:
+        below = last[p % k]
+        last[p % k] = p
+        if below >= 0:
+            if p - below > k:
+                free.append((p, (p - below) // k - 1))
+        elif not floor:
+            if p >= k:
+                free.append((p, p // k))
+        elif p >= k:
+            # the forced move: the runner's lowest bead lands on its residue
+            count -= p // k
+            if count < 0:
+                return []
+            dest = 1 << p % k
+            height += (state & (1 << p) - (dest << 1)).bit_count()
+            state ^= 1 << p | dest
+    if floor and -1 in last:
+        return []
+    # most[i]: the steps that beads i.. can take between them
+    most = [0] * (len(free) + 1)
+    for i in range(len(free) - 1, -1, -1):
+        most[i] = most[i + 1] + free[i][1]
+    if most[0] < count:
+        return []
+    out: list[tuple[int, int]] = []
+
+    def rec(start: int, cur: int, left: int, height: int) -> None:
+        if not left:
+            out.append((cur, height))
+            return
+        for i in range(start, len(free)):
+            if most[i] < left:
+                return
+            p, hi = free[i]
+            bead = 1 << p
+            for m in range(1, min(hi, left) + 1):
+                dest = bead >> m * k
+                moved = height + (cur & bead - (dest << 1)).bit_count()
+                if m == left:
+                    out.append((cur ^ bead ^ dest, moved))
+                else:
+                    rec(i + 1, cur ^ bead ^ dest, left - m, moved)
+
+    rec(0, state, count, height)
     return out

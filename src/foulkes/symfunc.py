@@ -9,9 +9,11 @@ index rescaling, which is what the Foulkes computations lean on.
 Schur expansions go through one routine, run in-process:
 plethysm_h_expansion builds the table of h_b[f] straight from f's support
 by running the plethysm recursion on integer Schur tables, without forming
-the power-sum series of h_b[f]; schur_expansion is its b = 1 case. There is
-one form for a class function, the series itself: its coefficient on mu is
-the sum of the function's values over the class mu.
+the power-sum series of h_b[f]; schur_expansion is its b = 1 case. Single
+Schur coefficients of products of h_b[h_a] come from the same recursion
+pulled back from one shape (plethysm_h_pull), by removing ribbon strips.
+There is one form for a class function, the series itself: its coefficient
+on mu is the sum of the function's values over the class mu.
 """
 
 from __future__ import annotations
@@ -19,17 +21,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import groupby
+from itertools import accumulate
 from math import comb, factorial
 
-from foulkes.characters import _mn, mn_char
+from foulkes.characters import mn_char
 from foulkes.partitions import (
     Partition,
     bead_moves,
+    bead_positions,
     centralizer_order,
     enum_partitions,
     from_abacus,
+    ribbon_strips,
     to_abacus,
     validate_partition,
 )
@@ -58,69 +61,6 @@ class PSeries:
             if c:
                 clean[mu] = c
         object.__setattr__(self, "coeffs", clean)
-
-    @cached_property
-    def _support_trie(self) -> _SupportTrie:
-        """Built by the first Schur-coefficient query; lives as long as the series."""
-        return _SupportTrie(self.coeffs)
-
-
-class _SupportTrie:
-    """A series' support as a prefix trie over each cycle type's parts, largest
-    first, with the memo of schur_coefficient's walk over it.
-
-    Node 0 is the root. A node whose subtree holds one cycle type is a chain:
-    chain[node] is (coefficient, remaining parts) and it has no children.
-    Every other node has chain[node] None and kids[node] its (part, child)
-    pairs. All cycle types have one weight, so none is a prefix of another
-    and every one ends inside a chain.
-    """
-
-    def __init__(self, coeffs: dict[Partition, int]):
-        self.kids: list[tuple[tuple[int, int], ...]] = []
-        self.chain: list[tuple[int, Partition] | None] = []
-        self._add(sorted(coeffs.items(), reverse=True), 0)
-        self.nodes = len(self.kids)
-        self.memo: dict[int, int] = {}
-
-    def _add(self, items: list[tuple[Partition, int]], depth: int) -> int:
-        """Add the node holding items, which share their first depth parts."""
-        node = len(self.kids)
-        self.kids.append(())
-        self.chain.append(None)
-        if len(items) == 1:
-            mu, c = items[0]
-            self.chain[node] = (c, mu[depth:])
-        else:
-            self.kids[node] = tuple(
-                (part, self._add(list(group), depth + 1))
-                for part, group in groupby(items, key=lambda item: item[0][depth]))
-        return node
-
-    def walk(self, state: int, node: int) -> int:
-        """Sum over the cycle types below node of c * chi^shape(remaining parts),
-        for the shape whose canonical abacus is state (partitions.to_abacus).
-        The memo key packs (state, node) into one int."""
-        chain = self.chain[node]
-        if chain is not None:
-            return chain[0] * _mn(state, chain[1])
-        memo, nodes = self.memo, self.nodes
-        key = state * nodes + node
-        total = memo.get(key)
-        if total is None:
-            total = 0
-            for part, child in self.kids[node]:
-                tail = self.chain[child]
-                for smaller, height in bead_moves(state, -part):
-                    if tail is not None:
-                        value = tail[0] * _mn(smaller, tail[1])
-                    else:
-                        value = memo.get(smaller * nodes + child)
-                        if value is None:
-                            value = self.walk(smaller, child)
-                    total += -value if height % 2 else value
-            memo[key] = total
-        return total
 
 
 def h_series(n: int) -> PSeries:
@@ -203,27 +143,6 @@ def inner(f: PSeries, g: PSeries) -> Fraction:
         if d is not None:
             total += c * d * centralizer_order(mu)
     return Fraction(total, factorial(f.degree) ** 2)
-
-
-def schur_coefficient(f: PSeries, lam: Partition) -> Fraction:
-    """Coefficient of the Schur function s_lam in f: sum of coeffs * chi^lam / n!.
-
-    The Schur coefficient on a power sum is the character value over the
-    centralizer order, and the weight in the inner product cancels that
-    order exactly. The sum is one Murnaghan-Nakayama walk over f's support,
-    held as a trie over each cycle type's parts in descending order (the
-    largest strip first prunes soonest): each step peels one border strip
-    off lam. A subtree holding a single cycle type falls through to the
-    character memo, so a first query costs no more than the plain sum over
-    the support. Shapes are canonical abacus states and a strip is one bead
-    move. The walk's memo, keyed by (state, trie node), lives with the
-    series, so repeated queries on one series share their work, whatever
-    their number of rows.
-    """
-    lam = validate_partition(lam)
-    if sum(lam) != f.degree:
-        raise ValueError(f"shape weight {sum(lam)} differs from series degree {f.degree}")
-    return Fraction(f._support_trie.walk(to_abacus(lam), 0), factorial(f.degree))
 
 
 def schur_expansion(f: PSeries, max_rows: int | None = None,
@@ -311,3 +230,81 @@ def _expand_items(items, stop, seed, stage) -> dict[int, int]:
 
     rec(0, len(items), 0, seed)
     return {shape: c for shape, c in out.items() if c}
+
+
+def plethysm_h_pull(blocks, prune: bool = True):
+    """Point queries on the product of h_(b_i)[h_(a_i)] over the distinct
+    block sizes a_i, each appearing b_i times in `blocks`: returns a function
+    from a shape lam to its Schur coefficient, a Fraction.
+
+    This is plethysm_h_expansion's recursion pulled instead of pushed. Level
+    t = 1..B takes the blocks largest first; at the j-th block of size a,
+
+        T_t(lam) = sum_{k=1..j} (j-1)!/(j-k)! * a!^k * sum_nu (-1)^height * T_(t-k)(nu),
+
+    where nu runs over lam minus a horizontal strip of a ribbons of length k
+    (partitions.ribbon_strips, the ribbon Pieri rule for p_k[h_a]) and
+    T_0(()) = 1. A level's shapes weigh its first t blocks, so a shape
+    belongs to one level, and the coefficient is T_B(lam) / prod b_i! a_i!^b_i.
+
+    With prune, level t holds abacus states of t beads: a product of t
+    complete homogeneous functions has no shape with more than t rows, or
+    that fails to dominate its t blocks. So a strip must empty the bottom k
+    rows, which forces the lowest bead of each runner, the k loop stops once
+    more than a of those positions are empty, and a state that does not
+    dominate its level's blocks is zero. Without prune, states are canonical
+    (one bead per row) and every strip and state is followed. The memo is
+    keyed by the state alone and lives as long as the returned function.
+    """
+    blocks = validate_partition(blocks)
+    levels: list[tuple[int, list[tuple[int, int]]]] = [(0, [])]
+    scale = 1
+    run = 0
+    for t, a in enumerate(blocks):
+        run = run + 1 if t and blocks[t - 1] == a else 1
+        levels.append((a, [(k, factorial(run - 1) // factorial(run - k) * factorial(a) ** k)
+                           for k in range(1, run + 1)]))
+        scale *= run * factorial(a)
+    bounds = list(accumulate(blocks))
+    memo = {0: 1}
+
+    def dominant(positions: list[int]) -> bool:
+        acc = 0
+        for bound, i in zip(bounds, range(len(positions) - 1, 0, -1)):
+            acc += positions[i] - i
+            if acc < bound:
+                return False
+        return True
+
+    def pull(t: int, state: int) -> int:
+        positions = bead_positions(state)
+        total = 0
+        if not prune or dominant(positions):
+            a, terms = levels[t]
+            for k, weight in terms:
+                if prune and k - (state & (1 << k) - 1).bit_count() > a:
+                    break
+                acc = 0
+                for nu, height in ribbon_strips(state, k, a, prune, positions):
+                    nu >>= k if prune else (~nu & nu + 1).bit_length() - 1
+                    value = memo.get(nu)
+                    if value is None:
+                        value = pull(t - k, nu)
+                    acc += -value if height % 2 else value
+                total += weight * acc
+        memo[state] = total
+        return total
+
+    def coefficient(lam) -> Fraction:
+        lam = validate_partition(lam)
+        if sum(lam) != sum(blocks):
+            raise ValueError(f"{lam} is not a partition of {sum(blocks)}")
+        if prune and len(lam) > len(blocks):
+            return Fraction(0)
+        state = to_abacus(lam, len(blocks) if prune else None)
+        value = memo.get(state)
+        if value is None:
+            value = pull(len(blocks), state)
+        return Fraction(value, scale)
+
+    return coefficient

@@ -14,6 +14,7 @@ from enum import Enum
 
 from foulkes.decomposition import FoulkesShape, GeneralizedShape, decompose
 from foulkes.partitions import (
+    HookCoordinates,
     Partition,
     count_box_partitions,
     format_partition,
@@ -98,7 +99,10 @@ class CensusReport:
 
 def predict_many_parts(lam, b: int) -> Prediction:
     """Zero whenever the shape has more rows than there are blocks."""
-    lam = validate_partition(lam)
+    return _many_parts(validate_partition(lam), b)
+
+
+def _many_parts(lam: Partition, b: int) -> Prediction:
     verdict = Verdict.ZERO if len(lam) > b else Verdict.NO_CLAIM
     return Prediction(lam, verdict, Rule.MANY_PARTS)
 
@@ -119,7 +123,10 @@ def predict_inside_bound(lam) -> Prediction:
     compared as 2*alpha_1 < (k-n)(k-n+1) to stay in integers.
     """
     lam = validate_partition(lam)
-    coords = to_hook_coords(lam)
+    return _inside_bound(lam, to_hook_coords(lam))
+
+
+def _inside_bound(lam: Partition, coords: HookCoordinates) -> Prediction:
     k = coords.leg
     n = coords.tail_weight
     a1 = coords.inside[0] if coords.inside else 0
@@ -131,7 +138,10 @@ def predict_small_inside(lam) -> Prediction:
     """Zero when the inside partition is light (weight between 1 and the leg)
     and is not the full column of the leg's length."""
     lam = validate_partition(lam)
-    coords = to_hook_coords(lam)
+    return _small_inside(lam, to_hook_coords(lam))
+
+
+def _small_inside(lam: Partition, coords: HookCoordinates) -> Prediction:
     m = coords.inside_weight
     fires = 1 <= m <= coords.leg and coords.inside != (1,) * coords.leg
     return Prediction(lam, Verdict.ZERO if fires else Verdict.NO_CLAIM, Rule.SMALL_INSIDE)
@@ -182,17 +192,21 @@ def predict_gen_hooks(shape: GeneralizedShape, lam) -> Prediction:
 
 
 def predictions_for(shape: FoulkesShape, lam) -> tuple[Prediction, ...]:
-    """Every applicable prediction for one shape of the right weight."""
-    lam = validate_partition(lam)
-    if sum(lam) != shape.degree:
-        raise ValueError(f"{lam} is not a partition of {shape.degree}")
+    """Every applicable prediction for one shape of the right weight. The
+    shape is put in hook coordinates once, for all the rules that read them."""
+    lam = tuple(lam)
     if not lam:
+        if shape.degree:
+            raise ValueError(f"{lam} is not a partition of {shape.degree}")
         return ()
+    coords = to_hook_coords(lam)
+    if coords.total != shape.degree:
+        raise ValueError(f"{lam} is not a partition of {shape.degree}")
     preds = [
-        predict_many_parts(lam, shape.b),
+        _many_parts(lam, shape.b),
         predict_hook(lam),
-        predict_inside_bound(lam),
-        predict_small_inside(lam),
+        _inside_bound(lam, coords),
+        _small_inside(lam, coords),
     ]
     if len(lam) <= 2:
         preds.append(two_row_formula(shape, lam[1] if len(lam) == 2 else 0)[1])

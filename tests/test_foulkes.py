@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from foulkes import cli, symfunc
+from foulkes import cli, decomposition, symfunc
 from foulkes.bruteforce import brute_foulkes_char
 from foulkes.decomposition import (
     DecompositionTable,
@@ -13,13 +13,12 @@ from foulkes.decomposition import (
     decompose,
     exterior_pairing,
     foulkes_series,
-    gen_foulkes_series,
     gen_multiplicity,
     multiplicity,
     orbit_size,
 )
 from foulkes.partitions import box_partitions, enum_partitions
-from foulkes.symfunc import ComputeBudgetExceeded
+from foulkes.symfunc import ComputeBudgetExceeded, inner, schur_series
 from oracles import oracle_weyl_multiplicities
 from strats import partitions, small_shapes
 
@@ -55,7 +54,10 @@ class TestShapes:
             GeneralizedShape(((2, 0),))
 
     def test_generalized_collapses_to_plain(self):
-        assert gen_foulkes_series(GeneralizedShape(((2, 3),))) == foulkes_series(2, 3)
+        plain, generalized = FoulkesShape(2, 3), GeneralizedShape(((2, 3),))
+        for lam in enum_partitions(6):
+            for fast in (True, False):
+                assert gen_multiplicity(generalized, lam, fast) == multiplicity(plain, lam, fast)
 
 
 class TestSeries:
@@ -65,15 +67,21 @@ class TestSeries:
         assert foulkes_series(a, b) == brute_foulkes_char((a,) * b)
 
     def test_generalized_series_is_the_permutation_character(self):
+        # gen_multiplicity against the multiplicities read off the brute-force
+        # fixed-point counts, on every shape, pruned and unpruned
         for blocks in [(2, 1), (2, 2, 1), (3, 1, 1), (3, 2)]:
             sh = GeneralizedShape.from_blocks(blocks)
-            assert gen_foulkes_series(sh) == brute_foulkes_char(blocks)
+            char = brute_foulkes_char(blocks)
+            for lam in enum_partitions(sh.degree):
+                expected = inner(char, schur_series(lam))
+                for fast in (True, False):
+                    assert gen_multiplicity(sh, lam, fast) == expected, (blocks, lam, fast)
 
     @pytest.mark.parametrize("index, message", [
         ((1,) * 9, r"3x3 series: coefficient on 1\^9 is 281, not \|Omega\| = 280"),
         ((9,), r"3x3 series: coefficients sum to 362881, not 9!"),
     ], ids=["degree", "trivial-once"])
-    def test_series_identities_are_checked(self, monkeypatch, capsys, index, message):
+    def test_series_identities_are_checked(self, monkeypatch, index, message):
         plethysm_h = symfunc.plethysm_h
 
         def one_off(b, f):
@@ -84,14 +92,8 @@ class TestSeries:
 
         monkeypatch.setattr(symfunc, "plethysm_h", one_off)
         foulkes_series.cache_clear()
-        gen_foulkes_series.cache_clear()
         with pytest.raises(ArithmeticError, match=message):
-            multiplicity(FoulkesShape(3, 3), (5, 2, 2))
-        with pytest.raises(ArithmeticError, match=message):
-            gen_multiplicity(GeneralizedShape(((3, 3),)), (5, 2, 2))
-        assert cli.main(["multiplicity", "3", "3", "5,2,2"]) == cli.EXIT_DISCREPANCY
-        out, err = capsys.readouterr()
-        assert out == "" and "3x3 series" in err
+            exterior_pairing(FoulkesShape(3, 3), 1)
 
 
 # boards of degree 12, whose 77 shapes include many with more than b rows
@@ -99,10 +101,10 @@ WHOLE_BOARDS = [(2, 6), (3, 4), (4, 3)]
 
 
 def query_misses(a, b):
-    """Shapes of 12 whose point query on the a x b board disagrees with the
-    unpruned table, or fails its exactness check. The queries share one
-    series, so the walk's memo is reused across the whole board, more rows
-    than b included."""
+    """Shapes of 12 whose unpruned point query on the a x b board disagrees
+    with the unpruned table, or fails an exactness check. The queries share
+    one memo, so it is reused across the whole board, more rows than b
+    included."""
     shape = FoulkesShape(a, b)
     table = decompose(shape, use_fastpath=False)
     assert len(table.entries) == 77
@@ -116,35 +118,25 @@ def query_misses(a, b):
     return misses
 
 
-def flip_strip_signs(monkeypatch, removals):
+def flip_heights(out):
     """Flip the sign of every strip that spans more than one row (flipping
-    every sign twists both sides of an inequality alike), on the bead moves
-    up that build tables or on the moves down that answer queries."""
-    moves = symfunc.bead_moves
-
-    def flipped(state, delta):
-        out = moves(state, delta)
-        if (delta < 0) != removals:
-            return out
-        return [(moved, height + 1 if height else 0) for moved, height in out]
-
-    monkeypatch.setattr(symfunc, "bead_moves", flipped)
+    every sign twists both sides of an inequality alike)."""
+    return [(moved, height + 1 if height else 0) for moved, height in out]
 
 
 @pytest.fixture
 def flipped_strip_signs(monkeypatch):
-    flip_strip_signs(monkeypatch, removals=False)
+    # on the bead moves up that build tables
+    moves = symfunc.bead_moves
+    monkeypatch.setattr(symfunc, "bead_moves", lambda *args: flip_heights(moves(*args)))
 
 
 @pytest.fixture
 def flipped_removal_signs(monkeypatch):
-    # the walk's memo lives with the cached series: start and end on fresh ones
-    for cached in (foulkes_series, gen_foulkes_series):
-        cached.cache_clear()
-    flip_strip_signs(monkeypatch, removals=True)
-    yield
-    for cached in (foulkes_series, gen_foulkes_series):
-        cached.cache_clear()
+    # on the ribbon strips that answer queries; the memos built here are dropped
+    strips = symfunc.ribbon_strips
+    monkeypatch.setattr(symfunc, "ribbon_strips", lambda *args: flip_heights(strips(*args)))
+    monkeypatch.setattr(decomposition, "_PULLS", {})
 
 
 class TestMultiplicity:
@@ -193,6 +185,29 @@ class TestMultiplicity:
         for lam in enum_partitions(5):
             assert gen_multiplicity(sh, lam, use_fastpath=True) == \
                 gen_multiplicity(sh, lam, use_fastpath=False)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_trivial_character_once_is_checked(self, monkeypatch, capsys, fast):
+        # the one-row shape reads 2 instead of 1 on every board
+        pull = symfunc.plethysm_h_pull
+
+        def twice_trivial(blocks, prune):
+            coefficient = pull(blocks, prune)
+            return lambda lam: coefficient(lam) + (len(lam) == 1)
+
+        monkeypatch.setattr(symfunc, "plethysm_h_pull", twice_trivial)
+        monkeypatch.setattr(decomposition, "_PULLS", {})
+        with pytest.raises(ArithmeticError,
+                           match=r"^3x3 query: the trivial character appears 2 times, not once$"):
+            multiplicity(FoulkesShape(3, 3), (5, 2, 2), fast)
+        with pytest.raises(ArithmeticError,
+                           match=r"^blocks 3,2 query: the trivial character appears 2 times"):
+            gen_multiplicity(GeneralizedShape.from_blocks((3, 2)), (3, 2), fast)
+        argv = ["multiplicity", "3", "3", "5,2,2"] + ([] if fast else ["--no-fastpath"])
+        assert cli.main(argv) == cli.EXIT_DISCREPANCY
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("claim violation: 3x3 query: "
+                                     "the trivial character appears 2 times, not once\n")
 
 
 class TestExteriorPairing:
@@ -424,7 +439,14 @@ class TestExactness:
 
     @pytest.mark.parametrize("value, message", BAD)
     def test_multiplicity_names_the_shape(self, monkeypatch, value, message):
-        monkeypatch.setattr(symfunc, "schur_coefficient", lambda *a: value)
+        pull = symfunc.plethysm_h_pull
+
+        def bad_at_4_2(blocks, prune):
+            coefficient = pull(blocks, prune)
+            return lambda lam: value if lam == (4, 2) else coefficient(lam)
+
+        monkeypatch.setattr(symfunc, "plethysm_h_pull", bad_at_4_2)
+        monkeypatch.setattr(decomposition, "_PULLS", {})
         with pytest.raises(ArithmeticError,
                            match=rf"^2x3 query: multiplicity of \(4, 2\) {message}"):
             multiplicity(FoulkesShape(2, 3), (4, 2))

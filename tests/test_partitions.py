@@ -17,10 +17,12 @@ from foulkes.partitions import (
     hook_leg,
     parse_partition,
     pieri_add,
+    ribbon_strips,
     to_abacus,
     to_hook_coords,
     validate_partition,
 )
+from foulkes.symfunc import h_series, inner, multiply, plethysm_power, schur_series
 from oracles import oracle_strip_additions, oracle_strip_removals
 from strats import partitions
 
@@ -288,3 +290,51 @@ class TestBorderStrips:
     def test_single_box_additions_match_corners(self):
         out = {shape for shape, h in additions((2, 1), 1, 3)}
         assert out == {(3, 1), (2, 2), (2, 1, 1)}
+
+
+def ribbon_content(lam, k, n):
+    """{nu: signed count} of lam minus horizontal strips of n ribbons of length k."""
+    out = {}
+    for state, height in ribbon_strips(to_abacus(lam), k, n):
+        nu = from_abacus(state)
+        out[nu] = out.get(nu, 0) + (-1) ** height
+    return {nu: c for nu, c in out.items() if c}
+
+
+class TestRibbonStrips:
+    def test_signed_sum_is_the_skew_pairing(self):
+        # sum over nu equals <s_lam, s_nu * p_k[h_n]>, for every lam of weight <= 10
+        for weight in range(11):
+            shapes = enum_partitions(weight)
+            basis = {lam: schur_series(lam) for lam in shapes}
+            for k in range(1, weight + 1):
+                for n in range(1, weight // k + 1):
+                    power = plethysm_power(k, h_series(n))
+                    products = {nu: multiply(schur_series(nu), power)
+                                for nu in enum_partitions(weight - k * n)}
+                    for lam in shapes:
+                        expected = {nu: c for nu, g in products.items()
+                                    if (c := inner(basis[lam], g))}
+                        assert ribbon_content(lam, k, n) == expected, (lam, k, n)
+
+    def test_floor_keeps_exactly_the_strips_that_empty_the_bottom_rows(self):
+        for weight in range(11):
+            for lam in enum_partitions(weight):
+                for beads in range(len(lam), len(lam) + 4):
+                    state = to_abacus(lam, beads)
+                    for k in range(1, weight + 4):
+                        for n in range(weight // k + 2):
+                            bottom = (1 << k) - 1
+                            kept = {(nu, h % 2) for nu, h in ribbon_strips(state, k, n)
+                                    if nu & bottom == bottom}
+                            forced = ribbon_strips(state, k, n, floor=True)
+                            assert {(nu, h % 2) for nu, h in forced} == kept, \
+                                (lam, beads, k, n)
+                            assert len(forced) == len(kept)
+
+    def test_zero_strips_is_the_identity(self):
+        assert ribbon_strips(to_abacus((3, 1)), 2, 0) == [(to_abacus((3, 1)), 0)]
+
+    def test_rejects_bad_length(self):
+        with pytest.raises(ValueError):
+            ribbon_strips(to_abacus((2, 1)), 0, 1)

@@ -15,8 +15,8 @@ from foulkes.symfunc import (
     multiply,
     plethysm_h,
     plethysm_h_expansion,
+    plethysm_h_pull,
     plethysm_power,
-    schur_coefficient,
     schur_expansion,
     schur_series,
 )
@@ -103,20 +103,6 @@ class TestAlgebra:
         if sum(lam) != sum(mu):
             return
         assert inner(schur_series(lam), schur_series(mu)) == (1 if lam == mu else 0)
-
-    @given(partitions(max_weight=5), st.integers(0, 3), st.data())
-    def test_schur_coefficient_is_inner_product(self, mu, k, data):
-        f = multiply(schur_series(mu), e_series(k))
-        lam = data.draw(st.sampled_from(enum_partitions(sum(mu) + k)))
-        assert schur_coefficient(f, lam) == inner(f, schur_series(lam))
-
-    @pytest.mark.parametrize("lam", [(2, 1, 1), (1, 2)])
-    def test_schur_coefficient_checks_shape(self, lam):
-        with pytest.raises(ValueError):
-            schur_coefficient(h_series(3), lam)
-
-    def test_schur_coefficient_of_zero_series(self):
-        assert schur_coefficient(PSeries(3, {}), (2, 1)) == 0
 
     def test_kostka_numbers_from_h_products(self):
         # <h_2 h_1, s_lam> counts fillings: one each for (3) and (2,1)
@@ -216,3 +202,30 @@ class TestPlethysmExpansion:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             plethysm_h_expansion(-1, h_series(2))
+
+
+class TestPlethysmPull:
+    """Point queries by the pulled recursion against the pushed tables."""
+
+    def test_every_small_board_matches_the_table(self):
+        for a, b in SMALL_BOARDS:
+            table = plethysm_h_expansion(b, h_series(a))
+            for prune in (True, False):
+                pull = plethysm_h_pull((a,) * b, prune)
+                for lam in enum_partitions(a * b):
+                    assert pull(lam) == table.get(lam, 0), (a, b, prune, lam)
+
+    @pytest.mark.parametrize("blocks", [(3, 2, 2, 1), (4, 2, 1, 1), (2, 2, 2, 1, 1)])
+    def test_products_match_the_power_sum_route(self, blocks):
+        product = h_series(0)
+        for size in sorted(set(blocks), reverse=True):
+            product = multiply(product, plethysm_h(blocks.count(size), h_series(size)))
+        for prune in (True, False):
+            pull = plethysm_h_pull(blocks, prune)
+            for lam in enum_partitions(sum(blocks)):
+                assert pull(lam) == inner(product, schur_series(lam)), (blocks, prune, lam)
+
+    @pytest.mark.parametrize("lam", [(2, 1, 1), (1, 2)])
+    def test_checks_shape(self, lam):
+        with pytest.raises(ValueError):
+            plethysm_h_pull((2, 1))(lam)
