@@ -1,11 +1,12 @@
 """Symmetric group character values over the integers.
 
 Irreducible values come from the Murnaghan-Nakayama recursion on border-strip
-removals, each one bead move on the shape's canonical abacus
-(partitions.to_abacus), memoized process-wide. No multiplicity is computed
-here: tables and point queries run the plethysm recursion in the Schur basis
-(symfunc.plethysm_h_expansion and symfunc.plethysm_h_pull). A whole class
-function is held as a symfunc.PSeries, the sum of its values over each class.
+removals, each one ribbon (partitions.ribbon_strips with count 1) taken off
+the shape's canonical abacus (partitions.to_abacus), memoized process-wide.
+No multiplicity is computed here: tables and point queries run the plethysm
+recursion in the Schur basis (symfunc.plethysm_h_expansion and
+symfunc.plethysm_h_pull). A whole class function is held as a
+symfunc.PSeries, the sum of its values over each class.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from math import factorial
 
 from foulkes.partitions import (
     Partition,
-    bead_moves,
     conjugate,
+    ribbon_strips,
     to_abacus,
     validate_partition,
 )
@@ -36,13 +37,17 @@ def mn_char(lam: Partition, mu: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _mn(state: int, cycles: Partition) -> int:
-    """The value on cycles of the irreducible whose canonical abacus is state."""
+    """The value on cycles of the irreducible whose canonical abacus is state.
+
+    A removal that lands a bead on position 0 leaves zero rows behind; they
+    are shifted out, so every key stays canonical.
+    """
     if not cycles:
         return 1
     total = 0
     rest = cycles[1:]
-    for smaller, height in bead_moves(state, -cycles[0]):
-        value = _mn(smaller, rest)
+    for smaller, height in ribbon_strips(state, -cycles[0], 1):
+        value = _mn(smaller >> (~smaller & smaller + 1).bit_length() - 1, rest)
         total += -value if height % 2 else value
     return total
 

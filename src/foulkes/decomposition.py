@@ -246,7 +246,8 @@ def decompose(shape: FoulkesShape, use_fastpath: bool = True,
     """Decompose one Foulkes character into irreducibles, every shape listed.
 
     The whole table comes from symfunc.plethysm_h_expansion: the Newton
-    recursion for h_b[h_a], run stage by stage on integer Schur tables. The
+    recursion for h_b[h_a], run stage by stage on integer Schur tables by
+    adding horizontal ribbon strips, with no power-sum series. The
     fast path caps every stage at b rows (exact, shapes with more rows cannot
     appear); use_fastpath=False runs it unpruned so the structural zeros are
     recomputed the hard way. The table lists every partition of a*b, zeros
@@ -258,7 +259,7 @@ def decompose(shape: FoulkesShape, use_fastpath: bool = True,
         raise ValueError("jobs must be >= 1")
     max_rows = shape.b if use_fastpath else None
     expansion = symfunc.plethysm_h_expansion(
-        shape.b, symfunc.h_series(shape.a), max_rows=max_rows, deadline=deadline)
+        shape.b, shape.a, max_rows=max_rows, deadline=deadline)
     entries = tuple(
         (lam, _exact(f"{shape.a}x{shape.b} table: multiplicity of {lam}",
                      expansion.get(lam, 0)))

@@ -1,4 +1,4 @@
-"""Integer partitions: parsing, orders, hook coordinates, abacus bead moves.
+"""Integer partitions: parsing, orders, hook coordinates, abacus ribbon strips.
 
 A partition is a plain tuple of weakly decreasing positive ints; () is the
 empty partition. Everything here is exact integer arithmetic.
@@ -270,108 +270,107 @@ def from_abacus(state: int) -> Partition:
     return tuple(parts[::-1])
 
 
-def bead_moves(state: int, delta: int) -> list[tuple[int, int]]:
-    """Every (state, height) reached by moving one bead of the abacus by delta.
-
-    A bead moving from p to a free p + delta adds (delta > 0) or removes
-    (delta < 0) a border strip of length |delta|; the strip's height, one less
-    than the rows it spans, is the number of beads strictly between p and
-    p + delta. Additions keep the bead count, so a shape needing more rows
-    than there are beads is never produced. A removal that lands a bead on
-    position 0 shifts out the trailing beads, the zero rows, so a canonical
-    state (see to_abacus) stays canonical.
-    """
-    out = []
-    if delta > 0:
-        beads = state & ~(state >> delta)
-        while beads:
-            bead = beads & -beads
-            beads ^= bead
-            dest = bead << delta
-            out.append((state ^ bead ^ dest, (state & dest - (bead << 1)).bit_count()))
-    elif delta < 0:
-        beads = (state & ~(state << -delta)) >> -delta << -delta
-        while beads:
-            bead = beads & -beads
-            beads ^= bead
-            dest = bead >> -delta
-            moved = state ^ bead ^ dest
-            if dest == 1:
-                moved >>= (~moved & moved + 1).bit_length() - 1
-            out.append((moved, (state & bead - (dest << 1)).bit_count()))
-    else:
-        raise ValueError("a bead move needs a nonzero strip length")
-    return out
-
-
-def ribbon_strips(state: int, k: int, count: int, floor: bool = False,
+def ribbon_strips(state: int, delta: int, count: int, floor: bool = False,
                   positions: list[int] | None = None) -> list[tuple[int, int]]:
-    """Every (state, height) reached by removing a horizontal strip of `count`
-    ribbons of length k (the ribbon Pieri rule, Lascoux-Leclerc-Thibon 1997).
+    """Every (state, height) reached by adding (delta > 0) or removing
+    (delta < 0) a horizontal strip of `count` ribbons of length k = |delta|
+    (the ribbon Pieri rule, Lascoux-Leclerc-Thibon 1997); a border strip is
+    the case count = 1.
 
-    With the abacus read as k runners by residue mod k, such a strip moves
-    beads down their runners by steps of k, `count` steps in all, each bead
-    staying strictly above the old position of the next bead below it on its
-    runner; so no move ever lands on a bead, in whatever order they are
-    made. A bead moving m steps removes m ribbons, whose heights add up to
-    the number of beads strictly between its old and new position when it
-    moves. The height returned is that sum over the moves, and its parity is
-    the strip's sign, which no order of the moves changes. With `floor`,
-    only strips leaving the bottom k rows empty are made: the lowest bead of
-    each runner r is forced onto position r, and those moves are made first.
-    The bead count never changes. `positions` may pass bead_positions(state)
-    in when the caller already has it.
+    The abacus (see to_abacus) is read as k runners by residue mod k. Such a
+    strip moves beads along their runners by steps of k, `count` steps in
+    all, each bead staying strictly short of the old position of the next
+    bead ahead of it on its runner (below it when removing, above it when
+    adding, where a runner's top bead is bounded by `count` alone); so no
+    move ever lands on a bead, in whatever order they are made. A bead
+    moving m steps adds or removes m ribbons, whose heights add up to the
+    number of beads strictly between its old and new position when it
+    moves. The height returned is that sum over the moves, and its parity
+    is the strip's sign, which no order of the moves changes. The bead count
+    never changes, so an addition never makes a shape with more rows than
+    there are beads. With `floor` (removals only), only strips leaving the
+    bottom k rows empty are made: the lowest bead of each runner r is forced
+    onto position r, and those moves are made first. `positions` may pass
+    bead_positions(state) in when the caller already has it.
     """
-    if k < 1 or count < 0:
-        raise ValueError("a ribbon strip needs length >= 1 and count >= 0")
+    k = abs(delta)
+    if not k or count < 0:
+        raise ValueError("a ribbon strip needs a nonzero length and count >= 0")
+    if floor and delta > 0:
+        raise ValueError("floor applies to removals only")
     if positions is None:
         positions = bead_positions(state)
     last = [-1] * k
+    # free: (bead, [(destination, the positions strictly between)] by steps)
     free = []
     height = 0
-    for p in positions:
-        below = last[p % k]
-        last[p % k] = p
-        if below >= 0:
-            if p - below > k:
-                free.append((p, (p - below) // k - 1))
-        elif not floor:
-            if p >= k:
-                free.append((p, p // k))
-        elif p >= k:
-            # the forced move: the runner's lowest bead lands on its residue
-            count -= p // k
-            if count < 0:
-                return []
-            dest = 1 << p % k
-            height += (state & (1 << p) - (dest << 1)).bit_count()
-            state ^= 1 << p | dest
-    if floor and -1 in last:
-        return []
+    if delta > 0:
+        for p in reversed(positions):
+            above = last[p % k]
+            last[p % k] = p
+            steps = count if above < 0 else (above - p) // k - 1
+            if steps > 0:
+                if steps > count:
+                    steps = count
+                bead = dest = 1 << p
+                moves = []
+                for _ in range(steps):
+                    dest <<= k
+                    moves.append((dest, dest - (bead << 1)))
+                free.append((bead, moves))
+    else:
+        for p in positions:
+            below = last[p % k]
+            last[p % k] = p
+            if below >= 0:
+                steps = (p - below) // k - 1
+            elif not floor:
+                steps = p // k
+            else:
+                if p >= k:
+                    # the forced move: the runner's lowest bead lands on its residue
+                    count -= p // k
+                    if count < 0:
+                        return []
+                    dest = 1 << p % k
+                    height += (state & (1 << p) - (dest << 1)).bit_count()
+                    state ^= 1 << p | dest
+                continue
+            if steps > 0:
+                if steps > count:
+                    steps = count
+                bead = dest = 1 << p
+                moves = []
+                for _ in range(steps):
+                    dest >>= k
+                    moves.append((dest, bead - (dest << 1)))
+                free.append((bead, moves))
+        if floor and -1 in last:
+            return []
     # most[i]: the steps that beads i.. can take between them
     most = [0] * (len(free) + 1)
     for i in range(len(free) - 1, -1, -1):
-        most[i] = most[i + 1] + free[i][1]
+        most[i] = most[i + 1] + len(free[i][1])
     if most[0] < count:
         return []
+    if not count:
+        return [(state, height)]
     out: list[tuple[int, int]] = []
-
-    def rec(start: int, cur: int, left: int, height: int) -> None:
-        if not left:
-            out.append((cur, height))
-            return
-        for i in range(start, len(free)):
-            if most[i] < left:
-                return
-            p, hi = free[i]
-            bead = 1 << p
-            for m in range(1, min(hi, left) + 1):
-                dest = bead >> m * k
-                moved = height + (cur & bead - (dest << 1)).bit_count()
+    # partial strips (state, steps left, height), taking the beads in turn
+    partial = [(state, count, height)]
+    for i, (bead, moves) in enumerate(free):
+        rest = most[i + 1]
+        nxt = []
+        for cur, left, height in partial:
+            if left <= rest:
+                nxt.append((cur, left, height))
+                first = 1
+            else:
+                first = left - rest
+            for m, (dest, between) in enumerate(moves[first - 1:left], first):
                 if m == left:
-                    out.append((cur ^ bead ^ dest, moved))
+                    out.append((cur ^ bead ^ dest, height + (cur & between).bit_count()))
                 else:
-                    rec(i + 1, cur ^ bead ^ dest, left - m, moved)
-
-    rec(0, state, count, height)
+                    nxt.append((cur ^ bead ^ dest, left - m, height + (cur & between).bit_count()))
+        partial = nxt
     return out

@@ -6,14 +6,15 @@ over the class mu. Only the public rational values divide by n!. This basis
 makes multiplication a multiset merge and plethysm by a power sum a simple
 index rescaling, which is what the Foulkes computations lean on.
 
-Schur expansions go through one routine, run in-process:
-plethysm_h_expansion builds the table of h_b[f] straight from f's support
-by running the plethysm recursion on integer Schur tables, without forming
-the power-sum series of h_b[f]; schur_expansion is its b = 1 case. Single
+Foulkes tables and queries leave this basis. plethysm_h_expansion builds
+the table of h_b[h_a] by running the plethysm recursion on integer Schur
+tables, adding horizontal ribbon strips (partitions.ribbon_strips); single
 Schur coefficients of products of h_b[h_a] come from the same recursion
-pulled back from one shape (plethysm_h_pull), by removing ribbon strips.
-There is one form for a class function, the series itself: its coefficient
-on mu is the sum of the function's values over the class mu.
+pulled back from one shape (plethysm_h_pull), removing the same strips.
+schur_expansion expands any series by its definition, inner products with
+Schur functions. There is one form for a class function, the series
+itself: its coefficient on mu is the sum of the function's values over the
+class mu.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from math import comb, factorial
 from foulkes.characters import mn_char
 from foulkes.partitions import (
     Partition,
-    bead_moves,
     bead_positions,
     centralizer_order,
     enum_partitions,
@@ -145,91 +145,61 @@ def inner(f: PSeries, g: PSeries) -> Fraction:
     return Fraction(total, factorial(f.degree) ** 2)
 
 
-def schur_expansion(f: PSeries, max_rows: int | None = None,
-                    deadline: float | None = None) -> dict[Partition, Fraction]:
+def schur_expansion(f: PSeries, max_rows: int | None = None) -> dict[Partition, Fraction]:
     """Expand f over Schur functions: the returned dict maps shape to coefficient.
 
-    This is plethysm_h_expansion with b = 1, since h_1[f] = f: one
-    strip-insertion pass over f's support, pruned past max_rows rows, with
-    `deadline` a wall-clock budget in seconds.
+    This is the definition, with no strips: the coefficient of s_lam is the
+    Hall inner product <f, s_lam>, for every lam with at most max_rows rows.
+    Zero coefficients are left out.
     """
-    return plethysm_h_expansion(1, f, max_rows, deadline)
+    return {lam: c for lam in enum_partitions(f.degree, max_parts=max_rows)
+            if (c := inner(f, schur_series(lam)))}
 
 
-def plethysm_h_expansion(b: int, f: PSeries, max_rows: int | None = None,
+def _newton_terms(j: int, a: int) -> list[tuple[int, int]]:
+    """(k, (j-1)!/(j-k)! * a!^k) for k = 1..j: the Newton recursion
+    j * h_j[h_a] = sum_k p_k[h_a] * h_(j-k)[h_a], scaled to T_j = j! * a!^j * h_j[h_a]."""
+    return [(k, factorial(j - 1) // factorial(j - k) * factorial(a) ** k)
+            for k in range(1, j + 1)]
+
+
+def plethysm_h_expansion(b: int, a: int, max_rows: int | None = None,
                          deadline: float | None = None) -> dict[Partition, Fraction]:
-    """Schur expansion of h_b[f], built stage by stage in the Schur basis.
+    """Schur expansion of h_b[h_a], built stage by stage in the Schur basis.
 
     Runs the Newton recursion of plethysm_h on Schur tables instead of on
-    power-sum series. With a = deg f and T_j = j! * a!^j * h_j[f],
+    power-sum series. With T_j = j! * a!^j * h_j[h_a] and T_0 = s_(),
 
-        T_j = sum_{k=1..j} (j-1)!/(j-k)! * a!^(k-1) * Q_k * T_(j-k),  T_0 = s_(),
+        T_j = sum_{k=1..j} (j-1)!/(j-k)! * a!^k * sum_nu T_(j-k)(nu) * sum_lam (-1)^height * s_lam,
 
-    where Q_k is f's support with every part scaled by k (that is, a! times
-    p_k[f]) and each product is one strip-insertion pass over the ascending
-    trie of f's support, seeded with the table T_(j-k). Every stage is an
-    int table keyed by abacus states of L = max_rows beads (b * a when
-    unpruned), and each strip is one bead moving up. A shape with more than
-    L rows cannot be written, so the row cap is exact and costs nothing, as
-    insertion never removes a row. Only at the end do states become tuples
-    and the coefficients get their one division, by b! * a!^b. `deadline`
-    is a wall-clock budget in seconds for all the stages together; running
-    past it raises ComputeBudgetExceeded naming the stage j of b that was
-    running.
+    where lam runs over nu plus a horizontal strip of a ribbons of length k
+    (partitions.ribbon_strips, the ribbon Pieri rule for p_k[h_a]). Every
+    stage is an int table keyed by abacus states of L = max_rows beads
+    (a * b when unpruned). A shape with more than L rows cannot be written,
+    so the row cap is exact and costs nothing, as a strip never removes a
+    row. Only at the end do states become tuples and the coefficients get
+    their one division, by b! * a!^b. `deadline` is a wall-clock budget in
+    seconds for all the stages together; running past it raises
+    ComputeBudgetExceeded naming the stage j of b that was running.
     """
-    if b < 0:
-        raise ValueError("degree must be >= 0")
+    if b < 0 or a < 0:
+        raise ValueError("degrees must be >= 0")
     stop = None if deadline is None else time.monotonic() + deadline
-    a = f.degree
     beads = b * a if max_rows is None else min(max_rows, b * a)
-    items = sorted((mu[::-1], c) for mu, c in f.coeffs.items())
     stages: list[dict[int, int]] = [{to_abacus((), beads): 1}]
     for j in range(1, b + 1):
         table: dict[int, int] = {}
-        for k in range(1, j + 1):
-            scaled = [(tuple(k * m for m in mu), c) for mu, c in items]
-            weight = factorial(j - 1) // factorial(j - k) * factorial(a) ** (k - 1)
-            expanded = _expand_items(scaled, stop, stages[j - k], f"stage {j} of {b}")
-            for state, c in expanded.items():
-                table[state] = table.get(state, 0) + weight * c
+        for k, weight in _newton_terms(j, a):
+            for state, c in stages[j - k].items():
+                if stop is not None and time.monotonic() > stop:
+                    raise ComputeBudgetExceeded(
+                        f"plethysm expansion passed its time limit at stage {j} of {b}")
+                c *= weight
+                for moved, height in ribbon_strips(state, k, a):
+                    table[moved] = table.get(moved, 0) + (-c if height % 2 else c)
         stages.append({state: c for state, c in table.items() if c})
     scale = factorial(b) * factorial(a) ** b
     return {from_abacus(state): Fraction(c, scale) for state, c in stages[b].items()}
-
-
-def _expand_items(items, stop, seed, stage) -> dict[int, int]:
-    """Strip-insertion sums over sorted (ascending parts, coeff) items applied to
-    the seed table {abacus state: int}, until `stop`, a time.monotonic()
-    reading; `stage` names the recursion stage in the time-limit error."""
-    out: dict[int, int] = {}
-
-    def rec(lo: int, hi: int, depth: int, table: dict[int, int]) -> None:
-        if stop is not None and time.monotonic() > stop:
-            raise ComputeBudgetExceeded(f"plethysm expansion passed its time limit at {stage}")
-        i = lo
-        while i < hi:
-            mu = items[i][0]
-            if len(mu) == depth:
-                c = items[i][1]
-                for state, m in table.items():
-                    out[state] = out.get(state, 0) + c * m
-                i += 1
-                continue
-            part = mu[depth]
-            j = i
-            while j < hi and len(items[j][0]) > depth and items[j][0][depth] == part:
-                j += 1
-            nxt: dict[int, int] = {}
-            for state, m in table.items():
-                for moved, height in bead_moves(state, part):
-                    nxt[moved] = nxt.get(moved, 0) + (-m if height % 2 else m)
-            nxt = {k: v for k, v in nxt.items() if v}
-            if nxt:
-                rec(i, j, depth + 1, nxt)
-            i = j
-
-    rec(0, len(items), 0, seed)
-    return {shape: c for shape, c in out.items() if c}
 
 
 def plethysm_h_pull(blocks, prune: bool = True):
@@ -262,8 +232,7 @@ def plethysm_h_pull(blocks, prune: bool = True):
     run = 0
     for t, a in enumerate(blocks):
         run = run + 1 if t and blocks[t - 1] == a else 1
-        levels.append((a, [(k, factorial(run - 1) // factorial(run - k) * factorial(a) ** k)
-                           for k in range(1, run + 1)]))
+        levels.append((a, _newton_terms(run, a)))
         scale *= run * factorial(a)
     bounds = list(accumulate(blocks))
     memo = {0: 1}
@@ -285,7 +254,7 @@ def plethysm_h_pull(blocks, prune: bool = True):
                 if prune and k - (state & (1 << k) - 1).bit_count() > a:
                     break
                 acc = 0
-                for nu, height in ribbon_strips(state, k, a, prune, positions):
+                for nu, height in ribbon_strips(state, -k, a, prune, positions):
                     nu >>= k if prune else (~nu & nu + 1).bit_length() - 1
                     value = memo.get(nu)
                     if value is None:

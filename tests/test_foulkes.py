@@ -124,19 +124,30 @@ def flip_heights(out):
     return [(moved, height + 1 if height else 0) for moved, height in out]
 
 
+def flip_one_direction(monkeypatch, adding):
+    """Flip the strip signs of symfunc.ribbon_strips in one direction only:
+    tables add strips and queries remove them, so flipping both would twist
+    the two routes alike. The query memos built here are dropped."""
+    strips = symfunc.ribbon_strips
+
+    def flipped(state, delta, *rest):
+        out = strips(state, delta, *rest)
+        return flip_heights(out) if (delta > 0) == adding else out
+
+    monkeypatch.setattr(symfunc, "ribbon_strips", flipped)
+    monkeypatch.setattr(decomposition, "_PULLS", {})
+
+
 @pytest.fixture
 def flipped_strip_signs(monkeypatch):
-    # on the bead moves up that build tables
-    moves = symfunc.bead_moves
-    monkeypatch.setattr(symfunc, "bead_moves", lambda *args: flip_heights(moves(*args)))
+    # on the strips added to build tables
+    flip_one_direction(monkeypatch, adding=True)
 
 
 @pytest.fixture
 def flipped_removal_signs(monkeypatch):
-    # on the ribbon strips that answer queries; the memos built here are dropped
-    strips = symfunc.ribbon_strips
-    monkeypatch.setattr(symfunc, "ribbon_strips", lambda *args: flip_heights(strips(*args)))
-    monkeypatch.setattr(decomposition, "_PULLS", {})
+    # on the strips removed to answer queries
+    flip_one_direction(monkeypatch, adding=False)
 
 
 class TestMultiplicity:
@@ -325,7 +336,7 @@ class TestDecompose:
 
 
 class TestClosedForms:
-    """Whole tables up to degree 30 against plethysms known in closed form."""
+    """Whole tables up to degree 40 against plethysms known in closed form."""
 
     @pytest.mark.parametrize("b", range(16))
     def test_thrall_h_b_of_h_2(self, b):
@@ -340,6 +351,16 @@ class TestClosedForms:
                     for k in range(a // 2 + 1)}
         assert dict(decompose(FoulkesShape(a, 2)).nonzero_entries) == expected
 
+    def test_h_1_of_h_a(self):
+        # one block: h_1[h_a] = s_(a), unpruned, up to degree 40
+        for a in range(1, 41):
+            assert symfunc.plethysm_h_expansion(1, a) == {(a,): 1}, a
+
+    def test_h_b_of_h_1(self):
+        # singleton blocks: h_b[h_1] = h_b = s_(b), unpruned, up to degree 40
+        for b in range(1, 41):
+            assert symfunc.plethysm_h_expansion(b, 1) == {(b,): 1}, b
+
 
 FOULKES_PAIRS = [(m, n) for m in range(2, 5) for n in range(m + 1, 30 // m + 1)]
 
@@ -349,8 +370,8 @@ def foulkes_inequality_misses(m, n):
 
     Every shape of h_m[h_n] has at most m rows, so both tables are pruned to m.
     """
-    lhs = symfunc.plethysm_h_expansion(m, symfunc.h_series(n), max_rows=m)
-    rhs = symfunc.plethysm_h_expansion(n, symfunc.h_series(m), max_rows=m)
+    lhs = symfunc.plethysm_h_expansion(m, n, max_rows=m)
+    rhs = symfunc.plethysm_h_expansion(n, m, max_rows=m)
     return [lam for lam, c in lhs.items() if c > rhs.get(lam, 0)]
 
 
@@ -360,7 +381,7 @@ def first_row_decreases(b, max_degree=30):
     out = []
     previous = {}
     for a in range(1, max_degree // b + 1):
-        table = symfunc.plethysm_h_expansion(b, symfunc.h_series(a), max_rows=b)
+        table = symfunc.plethysm_h_expansion(b, a, max_rows=b)
         current = {lam[1:]: c for lam, c in table.items()}
         out.extend((a - 1, nu) for nu, c in previous.items() if c > current.get(nu, 0))
         previous = current
@@ -398,7 +419,7 @@ WEYL_BOARDS = [(a, b, min(b, 5)) for a in range(1, 17) for b in range(1, 16 // a
 def weyl_misses(a, b, rows):
     """Shapes with at most `rows` rows whose multiplicity in h_b[h_a] differs
     from the Weyl-numerator count. Pruning the table to `rows` rows is exact."""
-    table = symfunc.plethysm_h_expansion(b, symfunc.h_series(a), max_rows=rows)
+    table = symfunc.plethysm_h_expansion(b, a, max_rows=rows)
     weyl = oracle_weyl_multiplicities(a, b, rows)
     return [lam for lam in weyl.keys() | table.keys()
             if table.get(lam, 0) != weyl.get(lam, 0)]

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from foulkes.partitions import (
     HookCoordinates,
-    bead_moves,
     box_partitions,
     centralizer_order,
     conjugate,
@@ -22,6 +21,8 @@ from foulkes.partitions import (
     to_hook_coords,
     validate_partition,
 )
+from foulkes import characters
+from foulkes.characters import mn_char
 from foulkes.symfunc import h_series, inner, multiply, plethysm_power, schur_series
 from oracles import oracle_strip_additions, oracle_strip_removals
 from strats import partitions
@@ -206,15 +207,17 @@ class TestCentralizer:
 
 
 def removals(lam, length):
-    """(shape, height) pairs from bead moves down on lam's canonical abacus."""
-    return [(from_abacus(state), height)
-            for state, height in bead_moves(to_abacus(lam), -length)]
+    """(shape, height) pairs, sorted, of the border strips (one ribbon each)
+    taken off lam's canonical abacus."""
+    return sorted((from_abacus(state), height)
+                  for state, height in ribbon_strips(to_abacus(lam), -length, 1))
 
 
 def additions(lam, length, beads):
-    """(shape, height) pairs from bead moves up on lam's abacus of `beads` beads."""
-    return [(from_abacus(state), height)
-            for state, height in bead_moves(to_abacus(lam, beads), length)]
+    """(shape, height) pairs, sorted, of the border strips added on lam's
+    abacus of `beads` beads."""
+    return sorted((from_abacus(state), height)
+                  for state, height in ribbon_strips(to_abacus(lam, beads), length, 1))
 
 
 class TestAbacus:
@@ -260,50 +263,63 @@ class TestBorderStrips:
             assert sum(smaller) == sum(lam) - length
             assert 0 <= height < length
 
-    def test_removals_stay_canonical(self):
-        for n in range(11):
+    def test_removals_stay_canonical(self, monkeypatch):
+        # the character recursion keys its memo by canonical states only, a
+        # removal onto position 0 included: one per shape it reaches
+        seen = set()
+        values = characters._mn.__wrapped__
+
+        def spy(state, cycles):
+            seen.add(state)
+            return values(state, cycles)
+
+        monkeypatch.setattr(characters, "_mn", spy)
+        for n in range(9):
             for lam in enum_partitions(n):
-                for length in range(1, n + 1):
-                    for state, _ in bead_moves(to_abacus(lam), -length):
-                        assert state == to_abacus(from_abacus(state))
+                for mu in enum_partitions(n):
+                    mn_char(lam, mu)
+        assert seen == {to_abacus(lam) for n in range(9) for lam in enum_partitions(n)}
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
-            bead_moves(to_abacus((2, 1)), 0)
+            ribbon_strips(to_abacus((2, 1)), 0, 1)
 
     def test_bead_moves_match_beta_set_oracle(self):
-        # exact tuples against the sorted beta-set forms; the oracles list rows
-        # top down, the bead moves run from the lowest bead up
+        # as sorted lists against the beta-set forms: the oracles list rows
+        # top down, while removals run from the lowest bead up and additions
+        # from the top bead down
         for n in range(13):
             for lam in enum_partitions(n):
                 for length in range(1, 13):
-                    assert tuple(removals(lam, length)[::-1]) == \
-                        oracle_strip_removals(lam, length)
+                    assert removals(lam, length) == sorted(oracle_strip_removals(lam, length))
                     for cap in (None, 0, 1, 2, 3, 5, 8, 12):
                         beads = len(lam) + length if cap is None else cap
                         expected = oracle_strip_additions(lam, length, cap)
                         if len(lam) > beads:
                             assert expected == ()
                         else:
-                            assert tuple(additions(lam, length, beads)[::-1]) == expected
+                            assert additions(lam, length, beads) == sorted(expected)
 
     def test_single_box_additions_match_corners(self):
         out = {shape for shape, h in additions((2, 1), 1, 3)}
         assert out == {(3, 1), (2, 2), (2, 1, 1)}
 
 
-def ribbon_content(lam, k, n):
-    """{nu: signed count} of lam minus horizontal strips of n ribbons of length k."""
+def ribbon_content(state, delta, n):
+    """{shape: signed count} of the horizontal strips of n ribbons of length
+    |delta| added to (delta > 0) or removed from (delta < 0) an abacus."""
     out = {}
-    for state, height in ribbon_strips(to_abacus(lam), k, n):
-        nu = from_abacus(state)
-        out[nu] = out.get(nu, 0) + (-1) ** height
-    return {nu: c for nu, c in out.items() if c}
+    for moved, height in ribbon_strips(state, delta, n):
+        shape = from_abacus(moved)
+        out[shape] = out.get(shape, 0) + (-1) ** height
+    return {shape: c for shape, c in out.items() if c}
 
 
 class TestRibbonStrips:
     def test_signed_sum_is_the_skew_pairing(self):
-        # sum over nu equals <s_lam, s_nu * p_k[h_n]>, for every lam of weight <= 10
+        # both directions against <s_lam, s_nu * p_k[h_n]>, for every lam of
+        # weight <= 10: removing sums over nu, adding (on enough beads for
+        # any lam) over lam
         for weight in range(11):
             shapes = enum_partitions(weight)
             basis = {lam: schur_series(lam) for lam in shapes}
@@ -312,10 +328,15 @@ class TestRibbonStrips:
                     power = plethysm_power(k, h_series(n))
                     products = {nu: multiply(schur_series(nu), power)
                                 for nu in enum_partitions(weight - k * n)}
+                    pairing = {(lam, nu): c for lam in shapes for nu, g in products.items()
+                               if (c := inner(basis[lam], g))}
                     for lam in shapes:
-                        expected = {nu: c for nu, g in products.items()
-                                    if (c := inner(basis[lam], g))}
-                        assert ribbon_content(lam, k, n) == expected, (lam, k, n)
+                        expected = {nu: c for (mu, nu), c in pairing.items() if mu == lam}
+                        assert ribbon_content(to_abacus(lam), -k, n) == expected, (lam, k, n)
+                    for nu in products:
+                        expected = {lam: c for (lam, mu), c in pairing.items() if mu == nu}
+                        assert ribbon_content(to_abacus(nu, weight), k, n) == expected, \
+                            (nu, k, n)
 
     def test_floor_keeps_exactly_the_strips_that_empty_the_bottom_rows(self):
         for weight in range(11):
@@ -325,16 +346,18 @@ class TestRibbonStrips:
                     for k in range(1, weight + 4):
                         for n in range(weight // k + 2):
                             bottom = (1 << k) - 1
-                            kept = {(nu, h % 2) for nu, h in ribbon_strips(state, k, n)
+                            kept = {(nu, h % 2) for nu, h in ribbon_strips(state, -k, n)
                                     if nu & bottom == bottom}
-                            forced = ribbon_strips(state, k, n, floor=True)
+                            forced = ribbon_strips(state, -k, n, floor=True)
                             assert {(nu, h % 2) for nu, h in forced} == kept, \
                                 (lam, beads, k, n)
                             assert len(forced) == len(kept)
 
     def test_zero_strips_is_the_identity(self):
-        assert ribbon_strips(to_abacus((3, 1)), 2, 0) == [(to_abacus((3, 1)), 0)]
+        for delta in (-2, 2):
+            assert ribbon_strips(to_abacus((3, 1)), delta, 0) == [(to_abacus((3, 1)), 0)]
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            ribbon_strips(to_abacus((2, 1)), 0, 1)
+        for delta, count, floor in ((0, 1, False), (-2, -1, False), (2, 1, True)):
+            with pytest.raises(ValueError):
+                ribbon_strips(to_abacus((2, 1)), delta, count, floor)

@@ -1,6 +1,13 @@
+import json
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
+import foulkes
 from foulkes.decomposition import FoulkesShape, GeneralizedShape, gen_multiplicity, multiplicity
 from foulkes.partitions import enum_partitions
 from foulkes.vanishing import (
@@ -181,6 +188,17 @@ class TestPredictionsFor:
                 assert pred.expected() == actual, (lam, pred.rule)
 
 
+# every board of degree 31 to 36, a = 1 and b = 1 included
+DEGREE_31_TO_36 = [(a, b) for a in range(1, 37) for b in range(1, 37) if 30 < a * b <= 36]
+
+CENSUS_SCRIPT = """
+import json, sys
+from foulkes.vanishing import census
+for a, b in json.loads(sys.argv[1]):
+    print(json.dumps(census(a, b).to_json_dict()), flush=True)
+"""
+
+
 class TestCensus:
     @pytest.mark.parametrize("a,b,total,zero,predicted", [
         (2, 3, 7, 4, 3),
@@ -211,6 +229,27 @@ class TestCensus:
         with pytest.raises(ArithmeticError, match=r"^2x3 census: rule hook predicts 0 "
                                                   r"for lambda=6; exact multiplicity is 1$"):
             census(2, 3)
+
+    @pytest.mark.slow
+    def test_every_board_of_degree_31_to_36(self, record_property):
+        # census raises on any claim miss, so every committed rule holds on
+        # these boards; one process runs them all under a 1 GB address-space
+        # cap. The totals go to the report, frozen nowhere until a second
+        # route agrees with them.
+        assert len(DEGREE_31_TO_36) == 29
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(foulkes.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", CENSUS_SCRIPT, json.dumps(DEGREE_31_TO_36)], env=env,
+            capture_output=True, text=True, timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+        assert done.returncode == 0, done.stderr
+        reports = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [(r["a"], r["b"]) for r in reports] == DEGREE_31_TO_36
+        for r in reports:
+            assert 0 <= r["predicted"] <= r["zero"] < r["total"]
+            record_property(f"census_{r['a']}x{r['b']}",
+                            f"total={r['total']} zero={r['zero']} predicted={r['predicted']}")
 
 
 class TestVerifyAll:
