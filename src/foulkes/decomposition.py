@@ -117,13 +117,14 @@ def _checked(label: str, series: symfunc.PSeries, omega_size: int) -> symfunc.PS
     return series
 
 
-def _exact(label: str, value) -> int:
+def _exact(value, label: str, *args) -> int:
     """A multiplicity or pairing as an int; it must be a whole number >= 0.
-    The label names the board and the route (table, query or pairing)."""
+    The label, %-formatted with args only on a miss, names the board and the
+    route (table, query or pairing)."""
     if value.denominator != 1:
-        raise ArithmeticError(f"{label} came out {value}, not an integer")
+        raise ArithmeticError(f"{label % args} came out {value}, not an integer")
     if value < 0:
-        raise ArithmeticError(f"{label} came out negative: {value}")
+        raise ArithmeticError(f"{label % args} came out negative: {value}")
     return int(value)
 
 
@@ -166,7 +167,7 @@ def _query(label: str, shape, lam, use_fastpath: bool) -> int:
             raise ArithmeticError(
                 f"{label} query: the trivial character appears {trivial} times, not once")
         _PULLS[blocks, use_fastpath] = pull
-    return _exact(f"{label} query: multiplicity of {lam}", pull(lam))
+    return _exact(pull(lam), "%s query: multiplicity of %s", label, lam)
 
 
 def exterior_pairing(shape: FoulkesShape, k: int) -> int:
@@ -174,8 +175,8 @@ def exterior_pairing(shape: FoulkesShape, k: int) -> int:
     if not 0 <= k <= shape.degree:
         raise ValueError(f"k must lie in 0..{shape.degree}")
     probe = symfunc.multiply(symfunc.e_series(k), symfunc.h_series(shape.degree - k))
-    return _exact(f"{shape.a}x{shape.b} pairing: e_{k} h_{shape.degree - k}",
-                  symfunc.inner(foulkes_series(shape.a, shape.b), probe))
+    return _exact(symfunc.inner(foulkes_series(shape.a, shape.b), probe),
+                  "%dx%d pairing: e_%d h_%d", shape.a, shape.b, k, shape.degree - k)
 
 
 def orbit_size(a: int, b: int, lam) -> int:
@@ -261,8 +262,8 @@ def decompose(shape: FoulkesShape, use_fastpath: bool = True,
     expansion = symfunc.plethysm_h_expansion(
         shape.b, shape.a, max_rows=max_rows, deadline=deadline)
     entries = tuple(
-        (lam, _exact(f"{shape.a}x{shape.b} table: multiplicity of {lam}",
-                     expansion.get(lam, 0)))
+        (lam, _exact(value, "%dx%d table: multiplicity of %s", shape.a, shape.b, lam)
+         if (value := expansion.get(lam)) else 0)
         for lam in enum_partitions(shape.degree))
     table = DecompositionTable(a=shape.a, b=shape.b, entries=entries)
     if table.dimension_sum != shape.omega_size:

@@ -149,11 +149,16 @@ def schur_expansion(f: PSeries, max_rows: int | None = None) -> dict[Partition, 
     """Expand f over Schur functions: the returned dict maps shape to coefficient.
 
     This is the definition, with no strips: the coefficient of s_lam is the
-    Hall inner product <f, s_lam>, for every lam with at most max_rows rows.
-    Zero coefficients are left out.
+    Hall inner product <f, s_lam> = sum_mu [p_mu] f * chi^lam(mu), summed over
+    f's own support, for every lam with at most max_rows rows. Zero
+    coefficients are left out.
     """
-    return {lam: c for lam in enum_partitions(f.degree, max_parts=max_rows)
-            if (c := inner(f, schur_series(lam)))}
+    out = {}
+    for lam in enum_partitions(f.degree, max_parts=max_rows):
+        total = sum(c * mn_char(lam, mu) for mu, c in f.coeffs.items())
+        if total:
+            out[lam] = Fraction(total, factorial(f.degree))
+    return out
 
 
 def _newton_terms(j: int, a: int) -> list[tuple[int, int]]:

@@ -2,8 +2,12 @@
 
 Each predicate inspects a shape combinatorially and either commits to a
 multiplicity (zero, one, or an explicit count) or declines with NO_CLAIM.
-census() and verify_all() then hold every claim against the exact
-decomposition and report what actually happened.
+Every rule of a Foulkes board is defined once, in _rules, which reads a
+shape's hook coordinates off a few of its parts in integer arithmetic and
+answers with (rule, verdict, expected) tuples. The public predicates and
+predictions_for wrap those tuples in Prediction objects. census() and
+verify_all() hold the tuples against the exact decomposition in one pass
+over the table, and build a Discrepancy only where a claim misses.
 """
 
 from __future__ import annotations
@@ -14,12 +18,10 @@ from enum import Enum
 
 from foulkes.decomposition import FoulkesShape, GeneralizedShape, decompose
 from foulkes.partitions import (
-    HookCoordinates,
     Partition,
     count_box_partitions,
     format_partition,
     hook_leg,
-    to_hook_coords,
     validate_partition,
 )
 
@@ -97,22 +99,76 @@ class CensusReport:
         }
 
 
+def _either(rule: Rule, verdict: Verdict, expected: int) -> tuple[tuple, tuple]:
+    """One rule's two answers as _rules gives them, indexed by whether it fires."""
+    return (rule, Verdict.NO_CLAIM, None), (rule, verdict, expected)
+
+
+_MANY_PARTS = _either(Rule.MANY_PARTS, Verdict.ZERO, 0)
+_HOOK = _either(Rule.HOOK, Verdict.ZERO, 0)
+_INSIDE_BOUND = _either(Rule.INSIDE_BOUND, Verdict.ZERO, 0)
+_SMALL_INSIDE = _either(Rule.SMALL_INSIDE, Verdict.ZERO, 0)
+_COLUMN_INSIDE = _either(Rule.COLUMN_INSIDE, Verdict.ONE, 1)
+
+
+def _rules(lam: Partition, n: int, b: int,
+           a: int | None = None) -> list[tuple[Rule, Verdict, int | None]]:
+    """(rule, verdict, expected) for every rule that reads lam, in rule order:
+    many-parts, hook, inside-bound and small-inside always, then, on a board
+    of b blocks of size a, two-row and column-inside where lam has their form.
+    expected is the multiplicity a claim commits to, None on NO_CLAIM.
+
+    lam must be a nonempty canonical partition of n; nothing here checks it.
+    In hook coordinates lam has leg k = len(lam) - 1 and inside partition
+    (lam_2 - 1, lam_3 - 1, ...) without its zeros, so the inside weight is
+    n - lam_1 - k, its first part is lam_2 - 1 and its tail weight is the
+    rest. As the parts descend, lam is a hook when lam_2 = 1, and its inside
+    is the column (1^k) when lam_2 = lam_last = 2.
+    """
+    k = len(lam) - 1
+    second = lam[1] if k else 1
+    column = k > 0 and second == 2 and lam[-1] == 2
+    inside = n - lam[0] - k
+    d = k - inside + second - 1  # leg minus tail weight
+    rules = [
+        _MANY_PARTS[k >= b],
+        _HOOK[k > 0 and second == 1],
+        _INSIDE_BOUND[d > 0 and 2 * (second - 1) < d * (d + 1)],
+        _SMALL_INSIDE[1 <= inside <= k and not column],
+    ]
+    if a is not None:
+        if k <= 1:
+            rules.append((Rule.TWO_ROW, Verdict.VALUE, _two_row_value(a, b, lam[1] if k else 0)))
+        if column:
+            rules.append(_COLUMN_INSIDE[k < b and a >= 2])
+    return rules
+
+
+def _prediction(lam: Partition, claim: tuple[Rule, Verdict, int | None]) -> Prediction:
+    rule, verdict, expected = claim
+    return Prediction(lam, verdict, rule, expected if verdict is Verdict.VALUE else None)
+
+
+def _off_board(lam: Partition, index: int, b: int = 0) -> Prediction:
+    """Entry index of _rules for a nonempty canonical lam of any weight, with
+    no board: b only matters to many-parts."""
+    return _prediction(lam, _rules(lam, sum(lam), b)[index])
+
+
 def predict_many_parts(lam, b: int) -> Prediction:
     """Zero whenever the shape has more rows than there are blocks."""
-    return _many_parts(validate_partition(lam), b)
-
-
-def _many_parts(lam: Partition, b: int) -> Prediction:
-    verdict = Verdict.ZERO if len(lam) > b else Verdict.NO_CLAIM
-    return Prediction(lam, verdict, Rule.MANY_PARTS)
+    lam = validate_partition(lam)
+    if not lam:
+        return Prediction(lam, Verdict.NO_CLAIM, Rule.MANY_PARTS)
+    return _off_board(lam, 0, b)
 
 
 def predict_hook(lam) -> Prediction:
     """Zero on every hook with at least one box below the first row."""
     lam = validate_partition(lam)
-    leg = hook_leg(lam)
-    verdict = Verdict.ZERO if leg is not None and leg >= 1 else Verdict.NO_CLAIM
-    return Prediction(lam, verdict, Rule.HOOK)
+    if not lam:
+        raise ValueError("the empty partition has no hook shape")
+    return _off_board(lam, 1)
 
 
 def predict_inside_bound(lam) -> Prediction:
@@ -123,28 +179,23 @@ def predict_inside_bound(lam) -> Prediction:
     compared as 2*alpha_1 < (k-n)(k-n+1) to stay in integers.
     """
     lam = validate_partition(lam)
-    return _inside_bound(lam, to_hook_coords(lam))
-
-
-def _inside_bound(lam: Partition, coords: HookCoordinates) -> Prediction:
-    k = coords.leg
-    n = coords.tail_weight
-    a1 = coords.inside[0] if coords.inside else 0
-    fires = k > n and 2 * a1 < (k - n) * (k - n + 1)
-    return Prediction(lam, Verdict.ZERO if fires else Verdict.NO_CLAIM, Rule.INSIDE_BOUND)
+    if not lam:
+        raise ValueError("cannot encode the empty partition")
+    return _off_board(lam, 2)
 
 
 def predict_small_inside(lam) -> Prediction:
     """Zero when the inside partition is light (weight between 1 and the leg)
     and is not the full column of the leg's length."""
     lam = validate_partition(lam)
-    return _small_inside(lam, to_hook_coords(lam))
+    if not lam:
+        raise ValueError("cannot encode the empty partition")
+    return _off_board(lam, 3)
 
 
-def _small_inside(lam: Partition, coords: HookCoordinates) -> Prediction:
-    m = coords.inside_weight
-    fires = 1 <= m <= coords.leg and coords.inside != (1,) * coords.leg
-    return Prediction(lam, Verdict.ZERO if fires else Verdict.NO_CLAIM, Rule.SMALL_INSIDE)
+def _two_row_value(a: int, b: int, r: int) -> int:
+    """Multiplicity of (ab-r, r) on the a x b board: consecutive box counts."""
+    return count_box_partitions(r, a, b) - count_box_partitions(r - 1, a, b)
 
 
 def two_row_formula(shape: FoulkesShape, r: int) -> tuple[Prediction, Prediction]:
@@ -162,7 +213,7 @@ def two_row_formula(shape: FoulkesShape, r: int) -> tuple[Prediction, Prediction
     boxed = count_box_partitions(r, shape.a, shape.b)
     perm = Prediction(lam, Verdict.VALUE, Rule.TWO_ROW, value=boxed)
     irr = Prediction(lam, Verdict.VALUE, Rule.TWO_ROW,
-                     value=boxed - count_box_partitions(r - 1, shape.a, shape.b))
+                     value=_two_row_value(shape.a, shape.b, r))
     return perm, irr
 
 
@@ -176,9 +227,7 @@ def predict_column_inside(shape: FoulkesShape, k: int) -> Prediction:
     if k < 1 or ab - 2 * k < 2:
         raise ValueError(f"no shape of the form (degree-2k, 2^k) for k={k}")
     lam = (ab - 2 * k,) + (2,) * k
-    claimed = 1 <= k < shape.b and shape.a >= 2
-    return Prediction(lam, Verdict.ONE if claimed else Verdict.NO_CLAIM,
-                      Rule.COLUMN_INSIDE)
+    return _prediction(lam, _rules(lam, ab, shape.b, shape.a)[-1])
 
 
 def predict_gen_hooks(shape: GeneralizedShape, lam) -> Prediction:
@@ -192,38 +241,36 @@ def predict_gen_hooks(shape: GeneralizedShape, lam) -> Prediction:
 
 
 def predictions_for(shape: FoulkesShape, lam) -> tuple[Prediction, ...]:
-    """Every applicable prediction for one shape of the right weight. The
-    shape is put in hook coordinates once, for all the rules that read them."""
-    lam = tuple(lam)
-    if not lam:
-        if shape.degree:
-            raise ValueError(f"{lam} is not a partition of {shape.degree}")
-        return ()
-    coords = to_hook_coords(lam)
-    if coords.total != shape.degree:
+    """Every applicable prediction for one shape of the right weight, one per
+    entry of _rules."""
+    lam = validate_partition(lam)
+    if sum(lam) != shape.degree:
         raise ValueError(f"{lam} is not a partition of {shape.degree}")
-    preds = [
-        _many_parts(lam, shape.b),
-        predict_hook(lam),
-        _inside_bound(lam, coords),
-        _small_inside(lam, coords),
-    ]
-    if len(lam) <= 2:
-        preds.append(two_row_formula(shape, lam[1] if len(lam) == 2 else 0)[1])
-    if len(lam) >= 2 and lam[0] >= 2 and all(p == 2 for p in lam[1:]):
-        preds.append(predict_column_inside(shape, len(lam) - 1))
-    return tuple(preds)
+    if not lam:
+        return ()
+    return tuple(_prediction(lam, claim)
+                 for claim in _rules(lam, shape.degree, shape.b, shape.a))
 
 
 def _hold(shape: FoulkesShape, rows) -> tuple[list[Discrepancy], int]:
-    """Hold each row's committed predictions against its exact multiplicity:
-    the misses, and how many rows some rule calls zero."""
+    """Hold each row's committed claims against its exact multiplicity: the
+    misses, in row and rule order, and how many rows some rule calls zero.
+    The rows are a table's, so each shape is a canonical partition of the
+    board's degree and goes to _rules unchecked; the empty shape, the only
+    one of degree 0, has no rules."""
+    a, b, n = shape.a, shape.b, shape.degree
     misses, called = [], 0
+    if not n:
+        return misses, called
     for lam, actual in rows:
-        claims = [p for p in predictions_for(shape, lam) if p.verdict is not Verdict.NO_CLAIM]
-        misses += [Discrepancy(lam, p.rule, p.expected(), actual)
-                   for p in claims if p.expected() != actual]
-        called += any(p.verdict is Verdict.ZERO for p in claims)
+        calls_zero = False
+        for rule, verdict, expected in _rules(lam, n, b, a):
+            if expected is not None:
+                if expected != actual:
+                    misses.append(Discrepancy(lam, rule, expected, actual))
+                if verdict is Verdict.ZERO:
+                    calls_zero = True
+        called += calls_zero
     return misses, called
 
 

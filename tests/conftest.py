@@ -12,12 +12,14 @@ settings.load_profile("exact")
 @pytest.fixture
 def false_hook_claim(monkeypatch):
     """The hook rule wrongly claims zero on (6,), which holds the trivial
-    character, so its multiplicity is 1 on every board of degree 6."""
-    hook = vanishing.predict_hook
+    character, so its multiplicity is 1 on every board of degree 6. The claim
+    is planted in vanishing._rules, which every rule check reads."""
+    rules = vanishing._rules
 
-    def claim(lam):
+    def claim(lam, *args):
+        out = rules(lam, *args)
         if tuple(lam) == (6,):
-            return vanishing.Prediction((6,), vanishing.Verdict.ZERO, vanishing.Rule.HOOK)
-        return hook(lam)
+            out[1] = (vanishing.Rule.HOOK, vanishing.Verdict.ZERO, 0)
+        return out
 
-    monkeypatch.setattr(vanishing, "predict_hook", claim)
+    monkeypatch.setattr(vanishing, "_rules", claim)

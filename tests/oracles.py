@@ -10,9 +10,15 @@ The border-strip oracles work on whole beta sets: each result rebuilds the
 set, sorts it and reads every part back, sharing no bit arithmetic with the
 package's bead moves on an int abacus.
 
-The Weyl-numerator route at the end counts Foulkes multiplicities with no
+The Weyl-numerator route counts Foulkes multiplicities with no
 characters of the symmetric group at all: weight multiplicities of
 Sym^b(Sym^a C^rows) by a knapsack, then Weyl's alternating sum over S_rows.
+
+The rule oracle at the end is the one part that reaches into the
+package, for its public HookCoordinates and Prediction types only: it is
+the hook-coordinate form of the vanishing rules, one validated object per
+shape and per rule, so the package's integer pass can be held to it field
+for field.
 """
 
 from collections import Counter
@@ -203,3 +209,57 @@ def oracle_weyl_multiplicities(a, b, rows):
             out[lam] = sum(sign * weights.get(tuple(map(add, padded, shift)), 0)
                            for sign, shift in shifts)
     return out
+
+
+def oracle_box_count(r, a, b):
+    """Partitions of r with at most b parts, each at most a; 0 for r < 0."""
+    if r < 0:
+        return 0
+    return sum(1 for lam in oracle_partitions(r) if len(lam) <= b and (not lam or lam[0] <= a))
+
+
+def oracle_predictions(a, b, lam):
+    """Every rule's prediction for one shape of weight a*b on the a x b board,
+    in the hook-coordinate form the package used before its rules became one
+    integer pass: a validated HookCoordinates per shape and one Prediction
+    per rule, in rule order."""
+    from foulkes.partitions import to_hook_coords
+    from foulkes.vanishing import Prediction, Rule, Verdict
+
+    def zero_if(fires, rule):
+        return Prediction(lam, Verdict.ZERO if fires else Verdict.NO_CLAIM, rule)
+
+    coords = to_hook_coords(lam)
+    assert coords.total == a * b
+    k, tail = coords.leg, coords.tail_weight
+    first = coords.inside[0] if coords.inside else 0
+    preds = [
+        zero_if(len(lam) > b, Rule.MANY_PARTS),
+        zero_if(len(lam) > 1 and all(p == 1 for p in lam[1:]), Rule.HOOK),
+        zero_if(k > tail and 2 * first < (k - tail) * (k - tail + 1), Rule.INSIDE_BOUND),
+        zero_if(1 <= coords.inside_weight <= k and coords.inside != (1,) * k,
+                Rule.SMALL_INSIDE),
+    ]
+    if len(lam) <= 2:
+        r = lam[1] if len(lam) == 2 else 0
+        preds.append(Prediction(lam, Verdict.VALUE, Rule.TWO_ROW,
+                                value=oracle_box_count(r, a, b) - oracle_box_count(r - 1, a, b)))
+    if len(lam) >= 2 and lam[0] >= 2 and all(p == 2 for p in lam[1:]):
+        claimed = 1 <= k < b and a >= 2
+        preds.append(Prediction(lam, Verdict.ONE if claimed else Verdict.NO_CLAIM,
+                                Rule.COLUMN_INSIDE))
+    return tuple(preds)
+
+
+def oracle_hold(a, b, rows):
+    """The misses, row by row and rule by rule, and how many rows some rule
+    calls zero, with every claim read off oracle_predictions."""
+    from foulkes.vanishing import Discrepancy, Verdict
+
+    misses, called = [], 0
+    for lam, actual in rows:
+        claims = [p for p in oracle_predictions(a, b, lam) if p.verdict is not Verdict.NO_CLAIM]
+        misses += [Discrepancy(lam, p.rule, p.expected(), actual)
+                   for p in claims if p.expected() != actual]
+        called += any(p.verdict is Verdict.ZERO for p in claims)
+    return misses, called

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import foulkes
-from foulkes.decomposition import FoulkesShape, GeneralizedShape, gen_multiplicity, multiplicity
+from foulkes.decomposition import (
+    FoulkesShape,
+    GeneralizedShape,
+    decompose,
+    gen_multiplicity,
+    multiplicity,
+)
 from foulkes.partitions import enum_partitions
 from foulkes.vanishing import (
     CensusReport,
@@ -27,6 +33,8 @@ from foulkes.vanishing import (
     two_row_formula,
     verify_all,
 )
+from foulkes.vanishing import _hold
+from oracles import oracle_hold, oracle_predictions
 from strats import small_shapes
 
 
@@ -186,6 +194,42 @@ class TestPredictionsFor:
         for pred in predictions_for(sh, lam):
             if pred.verdict is not Verdict.NO_CLAIM:
                 assert pred.expected() == actual, (lam, pred.rule)
+
+
+# every board with a*b <= 18, a = 1 and b = 1 included
+UP_TO_18 = [(a, b) for a in range(1, 19) for b in range(1, 18 // a + 1)]
+
+
+class TestRuleOracle:
+    """The integer rule pass against the hook-coordinate form of every rule
+    (oracles.oracle_predictions), on every board with a*b <= 18."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return {(a, b): decompose(FoulkesShape(a, b), use_fastpath=False).entries
+                for a, b in UP_TO_18}
+
+    def test_hold_matches_oracle(self, tables):
+        # shifting every multiplicity by one makes every committed claim miss
+        # somewhere, so each rule's miss path runs
+        missed = set()
+        for (a, b), entries in tables.items():
+            for shift in (0, 1, -1):
+                rows = [(lam, m + shift) for lam, m in entries]
+                held = _hold(FoulkesShape(a, b), rows)
+                assert held == oracle_hold(a, b, rows), (a, b, shift)
+                assert shift or held[0] == []
+                missed |= {miss.rule for miss in held[0]}
+        assert missed == set(Rule) - {Rule.GEN_HOOK}
+
+    def test_predictions_match_oracle(self, tables):
+        for (a, b), entries in tables.items():
+            shape = FoulkesShape(a, b)
+            for lam, _ in entries:
+                expected = oracle_predictions(a, b, lam)
+                assert predictions_for(shape, lam) == expected, (a, b, lam)
+                assert (predict_many_parts(lam, b), predict_hook(lam),
+                        predict_inside_bound(lam), predict_small_inside(lam)) == expected[:4]
 
 
 # every board of degree 31 to 36, a = 1 and b = 1 included
