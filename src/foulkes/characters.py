@@ -66,7 +66,3 @@ def dimension(lam: Partition) -> int:
         raise ArithmeticError(f"hook product {hooks} does not divide {n}!")
     return num // hooks
 
-
-def cache_size() -> int:
-    """Number of (shape, cycle type) values held by the process-wide memo."""
-    return _mn.cache_info().currsize

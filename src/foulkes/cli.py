@@ -2,7 +2,8 @@
 
 Prints machine-readable JSON (or CSV for decompose --csv) on stdout and keeps
 the exit code meaningful: 0 clean, 1 a claim failed to match the exact
-computation, 2 bad input, 3 out of time budget, 4 interrupted.
+computation, 2 bad input (an input so large that a recursion runs past
+Python's recursion limit included), 3 out of time budget, 4 interrupted.
 """
 
 from __future__ import annotations
@@ -262,6 +263,10 @@ def main(argv=None) -> int:
     except ComputeBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError:
+        print(f"error: {args.command}: input too large, it ran past Python's "
+              f"recursion limit of {sys.getrecursionlimit()}", file=sys.stderr)
+        return EXIT_INPUT
     except KeyboardInterrupt:
         return EXIT_INTERRUPT
 

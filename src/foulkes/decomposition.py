@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -254,10 +255,13 @@ def decompose(shape: FoulkesShape, use_fastpath: bool = True,
     recomputed the hard way. The table lists every partition of a*b, zeros
     included. Every run checks that the table accounts for every set
     partition: sum of mult * dim = |Omega|. `jobs` must be >= 1 and changes
-    nothing: the table is computed in-process.
+    nothing: the table is computed in-process. `deadline` is a wall-clock
+    budget in seconds for the expansion and the listing together; running
+    past it raises symfunc.ComputeBudgetExceeded naming the stage.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    stop = None if deadline is None else time.monotonic() + deadline
     max_rows = shape.b if use_fastpath else None
     expansion = symfunc.plethysm_h_expansion(
         shape.b, shape.a, max_rows=max_rows, deadline=deadline)
@@ -265,6 +269,10 @@ def decompose(shape: FoulkesShape, use_fastpath: bool = True,
         (lam, _exact(value, "%dx%d table: multiplicity of %s", shape.a, shape.b, lam)
          if (value := expansion.get(lam)) else 0)
         for lam in enum_partitions(shape.degree))
+    if stop is not None and time.monotonic() > stop:
+        raise symfunc.ComputeBudgetExceeded(
+            f"{shape.a}x{shape.b} table passed its time limit listing the "
+            f"partitions of {shape.degree}")
     table = DecompositionTable(a=shape.a, b=shape.b, entries=entries)
     if table.dimension_sum != shape.omega_size:
         raise ArithmeticError(

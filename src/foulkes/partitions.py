@@ -82,17 +82,6 @@ def fits_inside(lam: Partition, mu: Partition) -> bool:
     return len(lam) <= len(mu) and all(x <= y for x, y in zip(lam, mu))
 
 
-def hook_leg(lam: Partition) -> int | None:
-    """Leg length k when lam = (m, 1^k); None when lam is not a hook."""
-    if not lam:
-        raise ValueError("the empty partition has no hook shape")
-    if len(lam) == 1:
-        return 0
-    if all(p == 1 for p in lam[1:]):
-        return len(lam) - 1
-    return None
-
-
 @dataclass(frozen=True)
 class HookCoordinates:
     """A nonempty partition encoded as (first-column leg, shape inside the hook).

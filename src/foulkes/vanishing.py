@@ -1,13 +1,14 @@
 """Predicted multiplicities: vanishing criteria and closed formulas.
 
-Each predicate inspects a shape combinatorially and either commits to a
+Each rule inspects a shape combinatorially and either commits to a
 multiplicity (zero, one, or an explicit count) or declines with NO_CLAIM.
 Every rule of a Foulkes board is defined once, in _rules, which reads a
 shape's hook coordinates off a few of its parts in integer arithmetic and
-answers with (rule, verdict, expected) tuples. The public predicates and
-predictions_for wrap those tuples in Prediction objects. census() and
-verify_all() hold the tuples against the exact decomposition in one pass
-over the table, and build a Discrepancy only where a claim misses.
+answers with (rule, verdict, expected) tuples. predictions_for wraps those
+tuples in Prediction objects for one shape; predict_gen_hooks is the one rule
+for boards with several block sizes. census() and verify_all() hold the
+tuples against the exact decomposition in one pass over the table, and build
+a Discrepancy only where a claim misses.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from foulkes.partitions import (
     Partition,
     count_box_partitions,
     format_partition,
-    hook_leg,
     validate_partition,
 )
+from foulkes.symfunc import ComputeBudgetExceeded
 
 
 class Verdict(Enum):
@@ -113,17 +114,33 @@ _COLUMN_INSIDE = _either(Rule.COLUMN_INSIDE, Verdict.ONE, 1)
 
 def _rules(lam: Partition, n: int, b: int,
            a: int | None = None) -> list[tuple[Rule, Verdict, int | None]]:
-    """(rule, verdict, expected) for every rule that reads lam, in rule order:
-    many-parts, hook, inside-bound and small-inside always, then, on a board
-    of b blocks of size a, two-row and column-inside where lam has their form.
-    expected is the multiplicity a claim commits to, None on NO_CLAIM.
+    """(rule, verdict, expected) for every rule that reads lam, in rule order,
+    with expected the multiplicity a claim commits to, None on NO_CLAIM.
 
     lam must be a nonempty canonical partition of n; nothing here checks it.
     In hook coordinates lam has leg k = len(lam) - 1 and inside partition
-    (lam_2 - 1, lam_3 - 1, ...) without its zeros, so the inside weight is
-    n - lam_1 - k, its first part is lam_2 - 1 and its tail weight is the
-    rest. As the parts descend, lam is a hook when lam_2 = 1, and its inside
-    is the column (1^k) when lam_2 = lam_last = 2.
+    alpha = (lam_2 - 1, lam_3 - 1, ...) without its zeros, so |alpha| is
+    n - lam_1 - k, alpha_1 is lam_2 - 1 and the tail weight t = |alpha| - alpha_1
+    is the rest. As the parts descend, lam is a hook when lam_2 = 1, and alpha
+    is the column (1^k) when lam_2 = lam_last = 2. The rules, each a zero
+    unless said otherwise:
+
+    - many-parts: lam has more rows than there are blocks (k >= b);
+    - hook: lam is a hook with at least one box below its first row;
+    - inside-bound: the leg outruns the tail, k > t, and
+      alpha_1 < (k-t)(k-t+1)/2, compared as 2*alpha_1 < (k-t)(k-t+1) to stay
+      in integers; hooks are its empty-inside case;
+    - small-inside: 1 <= |alpha| <= k and alpha is not the column (1^k).
+
+    On a board of b blocks of size a (a given), two more where lam has their form:
+
+    - two-row: lam = (ab-r, r), or (ab) for r = 0, has multiplicity
+      B(r) - B(r-1), with B(r) the number of partitions of r that fit in the
+      a-by-b box, itself the pairing with the two-row Young subgroup's
+      permutation character;
+    - column-inside: lam = (ab-2k, 2^k) with 1 <= k < b has multiplicity one.
+      It is claimed only for a >= 2: with singleton blocks the character is
+      trivial and every such shape has multiplicity zero.
     """
     k = len(lam) - 1
     second = lam[1] if k else 1
@@ -138,96 +155,12 @@ def _rules(lam: Partition, n: int, b: int,
     ]
     if a is not None:
         if k <= 1:
-            rules.append((Rule.TWO_ROW, Verdict.VALUE, _two_row_value(a, b, lam[1] if k else 0)))
+            r = lam[1] if k else 0
+            rules.append((Rule.TWO_ROW, Verdict.VALUE,
+                          count_box_partitions(r, a, b) - count_box_partitions(r - 1, a, b)))
         if column:
             rules.append(_COLUMN_INSIDE[k < b and a >= 2])
     return rules
-
-
-def _prediction(lam: Partition, claim: tuple[Rule, Verdict, int | None]) -> Prediction:
-    rule, verdict, expected = claim
-    return Prediction(lam, verdict, rule, expected if verdict is Verdict.VALUE else None)
-
-
-def _off_board(lam: Partition, index: int, b: int = 0) -> Prediction:
-    """Entry index of _rules for a nonempty canonical lam of any weight, with
-    no board: b only matters to many-parts."""
-    return _prediction(lam, _rules(lam, sum(lam), b)[index])
-
-
-def predict_many_parts(lam, b: int) -> Prediction:
-    """Zero whenever the shape has more rows than there are blocks."""
-    lam = validate_partition(lam)
-    if not lam:
-        return Prediction(lam, Verdict.NO_CLAIM, Rule.MANY_PARTS)
-    return _off_board(lam, 0, b)
-
-
-def predict_hook(lam) -> Prediction:
-    """Zero on every hook with at least one box below the first row."""
-    lam = validate_partition(lam)
-    if not lam:
-        raise ValueError("the empty partition has no hook shape")
-    return _off_board(lam, 1)
-
-
-def predict_inside_bound(lam) -> Prediction:
-    """Zero when the first-column leg k outruns the inside partition.
-
-    With inside partition alpha and n the part of its weight below its own
-    first row, the claim fires when k > n and alpha_1 < (k-n)(k-n+1)/2,
-    compared as 2*alpha_1 < (k-n)(k-n+1) to stay in integers.
-    """
-    lam = validate_partition(lam)
-    if not lam:
-        raise ValueError("cannot encode the empty partition")
-    return _off_board(lam, 2)
-
-
-def predict_small_inside(lam) -> Prediction:
-    """Zero when the inside partition is light (weight between 1 and the leg)
-    and is not the full column of the leg's length."""
-    lam = validate_partition(lam)
-    if not lam:
-        raise ValueError("cannot encode the empty partition")
-    return _off_board(lam, 3)
-
-
-def _two_row_value(a: int, b: int, r: int) -> int:
-    """Multiplicity of (ab-r, r) on the a x b board: consecutive box counts."""
-    return count_box_partitions(r, a, b) - count_box_partitions(r - 1, a, b)
-
-
-def two_row_formula(shape: FoulkesShape, r: int) -> tuple[Prediction, Prediction]:
-    """Exact pairings against the two-row shape (degree-r, r).
-
-    Returns two predictions: first, the inner product with the permutation
-    character of the two-row Young subgroup, which counts partitions of r
-    fitting in the a-by-b box; second, the irreducible multiplicity, the
-    difference of consecutive box counts.
-    """
-    ab = shape.degree
-    if ab < 1 or r < 0 or 2 * r > ab:
-        raise ValueError(f"need 0 <= 2r <= degree >= 1, got r={r}")
-    lam = (ab - r, r) if r else (ab,)
-    boxed = count_box_partitions(r, shape.a, shape.b)
-    perm = Prediction(lam, Verdict.VALUE, Rule.TWO_ROW, value=boxed)
-    irr = Prediction(lam, Verdict.VALUE, Rule.TWO_ROW,
-                     value=_two_row_value(shape.a, shape.b, r))
-    return perm, irr
-
-
-def predict_column_inside(shape: FoulkesShape, k: int) -> Prediction:
-    """Multiplicity one for the shape (degree-2k, 2^k) when 1 <= k < b.
-
-    Only claimed for block size at least 2: with singleton blocks the
-    character is trivial and these shapes all get multiplicity zero.
-    """
-    ab = shape.degree
-    if k < 1 or ab - 2 * k < 2:
-        raise ValueError(f"no shape of the form (degree-2k, 2^k) for k={k}")
-    lam = (ab - 2 * k,) + (2,) * k
-    return _prediction(lam, _rules(lam, ab, shape.b, shape.a)[-1])
 
 
 def predict_gen_hooks(shape: GeneralizedShape, lam) -> Prediction:
@@ -235,21 +168,23 @@ def predict_gen_hooks(shape: GeneralizedShape, lam) -> Prediction:
     lam = validate_partition(lam)
     if sum(lam) != shape.degree:
         raise ValueError(f"{lam} is not a partition of {shape.degree}")
-    leg = hook_leg(lam)
-    fires = leg is not None and leg >= shape.distinct_sizes
+    if not lam:
+        raise ValueError("the empty partition has no hook shape")
+    fires = len(lam) > shape.distinct_sizes and lam[1] == 1
     return Prediction(lam, Verdict.ZERO if fires else Verdict.NO_CLAIM, Rule.GEN_HOOK)
 
 
 def predictions_for(shape: FoulkesShape, lam) -> tuple[Prediction, ...]:
     """Every applicable prediction for one shape of the right weight, one per
-    entry of _rules."""
+    entry of _rules; the empty shape has none. perfbench/make_reference.py
+    reads the committed claims through this."""
     lam = validate_partition(lam)
     if sum(lam) != shape.degree:
         raise ValueError(f"{lam} is not a partition of {shape.degree}")
     if not lam:
         return ()
-    return tuple(_prediction(lam, claim)
-                 for claim in _rules(lam, shape.degree, shape.b, shape.a))
+    return tuple(Prediction(lam, verdict, rule, expected if verdict is Verdict.VALUE else None)
+                 for rule, verdict, expected in _rules(lam, shape.degree, shape.b, shape.a))
 
 
 def _hold(shape: FoulkesShape, rows) -> tuple[list[Discrepancy], int]:
@@ -281,14 +216,19 @@ def census(a: int, b: int, jobs: int = 1,
 
     Every committed prediction (zeros, ones, and closed-form values) is also
     checked against the exact multiplicity; a single miss raises rather than
-    returning a report that quietly disagrees with the claims.
+    returning a report that quietly disagrees with the claims. `deadline` is
+    one wall-clock budget in seconds for the table and the rule pass; running
+    past it raises ComputeBudgetExceeded naming the stage.
     """
     shape = FoulkesShape(a, b)
     start = time.perf_counter()
+    stop = None if deadline is None else time.monotonic() + deadline
     table = decompose(shape, jobs=jobs, deadline=deadline)
     rows = [(lam, actual) for lam, actual in table.entries if len(lam) <= b]
     zero = sum(1 for _, actual in rows if actual == 0)
     misses, predicted = _hold(shape, rows)
+    if stop is not None and time.monotonic() > stop:
+        raise ComputeBudgetExceeded(f"{a}x{b} census passed its time limit in the rule pass")
     if misses:
         miss = misses[0]
         raise ArithmeticError(
@@ -304,8 +244,13 @@ def verify_all(a: int, b: int, jobs: int = 1,
 
     Runs without the structural fast path, so shapes the rules call zero are
     recomputed honestly. Returns the mismatches; an empty list means every
-    claim checked out over all shapes of weight a*b.
+    claim checked out over all shapes of weight a*b. `deadline` bounds the
+    table and the rule pass together, as in census.
     """
     shape = FoulkesShape(a, b)
+    stop = None if deadline is None else time.monotonic() + deadline
     table = decompose(shape, use_fastpath=False, jobs=jobs, deadline=deadline)
-    return _hold(shape, table.entries)[0]
+    misses = _hold(shape, table.entries)[0]
+    if stop is not None and time.monotonic() > stop:
+        raise ComputeBudgetExceeded(f"{a}x{b} verify passed its time limit in the rule pass")
+    return misses

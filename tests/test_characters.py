@@ -4,7 +4,6 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from foulkes import characters
 from foulkes.characters import dimension, mn_char
 from foulkes.partitions import centralizer_order, conjugate, enum_partitions
 from foulkes.symfunc import h_series, multiply
@@ -95,8 +94,3 @@ def test_inner_cf_orthonormality():
                           for x, y, mu in zip(f, g, classes))
             assert pairing == (1 if lam == nu else 0)
 
-
-def test_cache_size_counts_memo_entries():
-    before = characters.cache_size()
-    mn_char((9, 7, 5, 3, 1), (5, 5, 5, 5, 5))
-    assert characters.cache_size() > before

@@ -5,11 +5,12 @@ import pickle
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
 import foulkes
-from foulkes import cli
+from foulkes import cli, vanishing
 from foulkes.characters import mn_char
 from foulkes.cli import (
     EXIT_BUDGET,
@@ -219,6 +220,35 @@ class TestFailurePaths:
                            "--jobs", "1", "--time-limit", "0.000001")
         assert code == EXIT_BUDGET
         assert "time limit" in err
+
+    def test_rule_pass_past_time_budget(self, capsys, monkeypatch):
+        hold = vanishing._hold
+
+        def slow(*args):
+            time.sleep(0.2)
+            return hold(*args)
+
+        monkeypatch.setattr(vanishing, "_hold", slow)
+        code, out, err = run(capsys, "census", "2", "3", "--time-limit", "0.1")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == "error: 2x3 census passed its time limit in the rule pass\n"
+
+    @pytest.mark.parametrize("limit, argv", [
+        # the partition listing recurses once per part: 1200 deep
+        (1000, ("restrict", "1", "1200", "1200", "--max-ab", "1200")),
+        # the query's pull recurses once per block
+        (100, ("multiplicity", "1", "120", "120", "--max-ab", "120")),
+    ])
+    def test_deep_recursion_is_bad_input(self, limit, argv):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(foulkes.__file__)))
+        script = ("import sys; from foulkes.cli import main; "
+                  "sys.setrecursionlimit(int(sys.argv[1])); sys.exit(main(sys.argv[2:]))")
+        done = subprocess.run([sys.executable, "-c", script, str(limit), *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (EXIT_INPUT, "")
+        assert done.stderr == (f"error: {argv[0]}: input too large, it ran past "
+                               f"Python's recursion limit of {limit}\n")
 
     def test_time_limit_nan_rejected(self, capsys):
         for argv in (("decompose", "3", "4", "--jobs", "1"),

@@ -319,6 +319,19 @@ class TestDecompose:
             decompose(FoulkesShape(3, 13), deadline=0.2)
         assert time.monotonic() - start < 0.6
 
+    def test_deadline_bounds_the_listing(self, monkeypatch):
+        listing = decomposition.enum_partitions
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return listing(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "enum_partitions", slow)
+        with pytest.raises(ComputeBudgetExceeded, match=r"^2x3 table passed its time limit "
+                                                        r"listing the partitions of 6$"):
+            decompose(FoulkesShape(2, 3), deadline=0.1)
+        assert decompose(FoulkesShape(2, 3), deadline=60.0) == decompose(FoulkesShape(2, 3))
+
     def test_table_must_account_for_every_set_partition(self, monkeypatch, capsys):
         expand = symfunc.plethysm_h_expansion
 

@@ -13,7 +13,6 @@ from foulkes.partitions import (
     format_partition,
     from_abacus,
     from_hook_coords,
-    hook_leg,
     parse_partition,
     pieri_add,
     ribbon_strips,
@@ -108,14 +107,6 @@ class TestOrders:
 
 
 class TestHooks:
-    def test_hook_leg(self):
-        assert hook_leg((5,)) == 0
-        assert hook_leg((3, 1, 1)) == 2
-        assert hook_leg((1, 1, 1)) == 2
-        assert hook_leg((3, 2)) is None
-        with pytest.raises(ValueError):
-            hook_leg(())
-
     def test_coords_frozen(self):
         assert to_hook_coords((7, 3, 1, 1)) == HookCoordinates(total=12, leg=3, inside=(2,))
         assert from_hook_coords(HookCoordinates(total=10, leg=3, inside=(3,))) == (4, 4, 1, 1)

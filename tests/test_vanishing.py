@@ -3,11 +3,13 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 import foulkes
+from foulkes import vanishing
 from foulkes.decomposition import (
     FoulkesShape,
     GeneralizedShape,
@@ -16,6 +18,7 @@ from foulkes.decomposition import (
     multiplicity,
 )
 from foulkes.partitions import enum_partitions
+from foulkes.symfunc import ComputeBudgetExceeded
 from foulkes.vanishing import (
     CensusReport,
     Discrepancy,
@@ -23,17 +26,11 @@ from foulkes.vanishing import (
     Rule,
     Verdict,
     census,
-    predict_column_inside,
     predict_gen_hooks,
-    predict_hook,
-    predict_inside_bound,
-    predict_many_parts,
-    predict_small_inside,
     predictions_for,
-    two_row_formula,
     verify_all,
 )
-from foulkes.vanishing import _hold
+from foulkes.vanishing import _hold, _rules
 from oracles import oracle_hold, oracle_predictions
 from strats import small_shapes
 
@@ -53,92 +50,72 @@ class TestPrediction:
             Prediction((2,), Verdict.ZERO, Rule.HOOK, value=0)
 
 
+def verdict(lam, rule, b=0):
+    """The verdict of one always-read rule on lam, with no board: b only
+    matters to many-parts."""
+    return next(v for r, v, _ in _rules(lam, sum(lam), b) if r is rule)
+
+
+def column_inside(shape, k):
+    """The column-inside prediction for (degree-2k, 2^k) on shape."""
+    lam = (shape.degree - 2 * k,) + (2,) * k
+    return next(p for p in predictions_for(shape, lam) if p.rule is Rule.COLUMN_INSIDE)
+
+
 class TestPredicates:
     def test_many_parts(self):
-        assert predict_many_parts((1, 1, 1, 1), 3).verdict is Verdict.ZERO
-        assert predict_many_parts((1, 1, 1, 1), 4).verdict is Verdict.NO_CLAIM
+        assert verdict((1, 1, 1, 1), Rule.MANY_PARTS, 3) is Verdict.ZERO
+        assert verdict((1, 1, 1, 1), Rule.MANY_PARTS, 4) is Verdict.NO_CLAIM
 
     def test_hook(self):
-        assert predict_hook((4, 1, 1)).verdict is Verdict.ZERO
-        assert predict_hook((6,)).verdict is Verdict.NO_CLAIM
-        assert predict_hook((3, 2)).verdict is Verdict.NO_CLAIM
+        assert verdict((4, 1, 1), Rule.HOOK) is Verdict.ZERO
+        assert verdict((6,), Rule.HOOK) is Verdict.NO_CLAIM
+        assert verdict((3, 2), Rule.HOOK) is Verdict.NO_CLAIM
 
     def test_inside_bound(self):
         # leg 4, inside (3): 2*3 < 4*5
-        assert predict_inside_bound((23, 4, 1, 1, 1)).verdict is Verdict.ZERO
+        assert verdict((23, 4, 1, 1, 1), Rule.INSIDE_BOUND) is Verdict.ZERO
         # leg 3, inside (2): 2*2 < 3*4
-        assert predict_inside_bound((7, 3, 1, 1)).verdict is Verdict.ZERO
+        assert verdict((7, 3, 1, 1), Rule.INSIDE_BOUND) is Verdict.ZERO
         # leg 1, inside (1): 2*1 < 1*2 fails
-        assert predict_inside_bound((4, 2)).verdict is Verdict.NO_CLAIM
+        assert verdict((4, 2), Rule.INSIDE_BOUND) is Verdict.NO_CLAIM
         # column inside the hook always escapes: leg k, inside (1^k)
-        assert predict_inside_bound((4, 2, 2)).verdict is Verdict.NO_CLAIM
+        assert verdict((4, 2, 2), Rule.INSIDE_BOUND) is Verdict.NO_CLAIM
         # hooks are the empty-inside case
-        assert predict_inside_bound((5, 1, 1)).verdict is Verdict.ZERO
+        assert verdict((5, 1, 1), Rule.INSIDE_BOUND) is Verdict.ZERO
 
     def test_small_inside(self):
-        assert predict_small_inside((7, 3, 1, 1)).verdict is Verdict.ZERO
-        assert predict_small_inside((4, 2, 2)).verdict is Verdict.NO_CLAIM
-        assert predict_small_inside((3, 3)).verdict is Verdict.NO_CLAIM
-        assert predict_small_inside((6,)).verdict is Verdict.NO_CLAIM
+        assert verdict((7, 3, 1, 1), Rule.SMALL_INSIDE) is Verdict.ZERO
+        assert verdict((4, 2, 2), Rule.SMALL_INSIDE) is Verdict.NO_CLAIM
+        assert verdict((3, 3), Rule.SMALL_INSIDE) is Verdict.NO_CLAIM
+        assert verdict((6,), Rule.SMALL_INSIDE) is Verdict.NO_CLAIM
 
     @given(st.sampled_from(enum_partitions(9) + enum_partitions(12)))
     def test_small_inside_never_claims_without_inside_bound(self, lam):
         # containment: the lighter criterion is a special case of the bound
-        if predict_small_inside(lam).verdict is Verdict.ZERO:
-            assert predict_inside_bound(lam).verdict is Verdict.ZERO
+        if verdict(lam, Rule.SMALL_INSIDE) is Verdict.ZERO:
+            assert verdict(lam, Rule.INSIDE_BOUND) is Verdict.ZERO
 
     @given(st.sampled_from(enum_partitions(10) + enum_partitions(13)))
     def test_hooks_never_claim_without_inside_bound(self, lam):
-        if predict_hook(lam).verdict is Verdict.ZERO:
-            assert predict_inside_bound(lam).verdict is Verdict.ZERO
-
-
-class TestTwoRow:
-    def test_frozen(self):
-        sh = FoulkesShape(2, 3)
-        perm, irr = two_row_formula(sh, 2)
-        assert perm.value == 2 and irr.value == 1
-        perm, irr = two_row_formula(sh, 3)
-        assert perm.value == 2 and irr.value == 0
-        perm, irr = two_row_formula(sh, 0)
-        assert perm.partition == (6,)
-        assert perm.value == 1 and irr.value == 1
-
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            two_row_formula(FoulkesShape(2, 3), 4)
-        with pytest.raises(ValueError):
-            two_row_formula(FoulkesShape(2, 3), -1)
-
-    @given(small_shapes(max_degree=12), st.integers(0, 6))
-    def test_irreducible_value_is_exact(self, shape, r):
-        a, b = shape
-        if 2 * r > a * b:
-            return
-        _, irr = two_row_formula(FoulkesShape(a, b), r)
-        assert multiplicity(FoulkesShape(a, b), irr.partition) == irr.value
+        if verdict(lam, Rule.HOOK) is Verdict.ZERO:
+            assert verdict(lam, Rule.INSIDE_BOUND) is Verdict.ZERO
 
 
 class TestColumnInside:
     def test_claims(self):
-        assert predict_column_inside(FoulkesShape(3, 4), 2).verdict is Verdict.ONE
-        assert predict_column_inside(FoulkesShape(3, 4), 2).partition == (8, 2, 2)
-        assert predict_column_inside(FoulkesShape(3, 4), 3).verdict is Verdict.ONE
+        assert column_inside(FoulkesShape(3, 4), 2).verdict is Verdict.ONE
+        assert column_inside(FoulkesShape(3, 4), 2).partition == (8, 2, 2)
+        assert column_inside(FoulkesShape(3, 4), 3).verdict is Verdict.ONE
         # k reaching b is out of scope
-        assert predict_column_inside(FoulkesShape(3, 4), 4).verdict is Verdict.NO_CLAIM
+        assert column_inside(FoulkesShape(3, 4), 4).verdict is Verdict.NO_CLAIM
 
     def test_singleton_blocks_not_claimed(self):
         # the trivial character misses these shapes, so no claim when a == 1
         sh = FoulkesShape(1, 6)
-        pred = predict_column_inside(sh, 2)
+        pred = column_inside(sh, 2)
         assert pred.verdict is Verdict.NO_CLAIM
         assert multiplicity(sh, (2, 2, 2)) == 0
-
-    def test_shape_existence_checked(self):
-        with pytest.raises(ValueError):
-            predict_column_inside(FoulkesShape(2, 3), 0)
-        with pytest.raises(ValueError):
-            predict_column_inside(FoulkesShape(1, 4), 2)
 
     @given(st.sampled_from([(a, b) for a in range(2, 5) for b in range(2, 5)]),
            st.integers(1, 4))
@@ -146,7 +123,7 @@ class TestColumnInside:
         a, b = shape
         if k >= b or a * b - 2 * k < 2:
             return
-        pred = predict_column_inside(FoulkesShape(a, b), k)
+        pred = column_inside(FoulkesShape(a, b), k)
         assert pred.verdict is Verdict.ONE
         assert multiplicity(FoulkesShape(a, b), pred.partition) == 1
 
@@ -156,8 +133,11 @@ class TestGenHooks:
         sh = GeneralizedShape.from_blocks((2, 2, 1))
         assert predict_gen_hooks(sh, (3, 1, 1)).verdict is Verdict.ZERO
         assert predict_gen_hooks(sh, (2, 1, 1, 1)).verdict is Verdict.ZERO
+        assert predict_gen_hooks(sh, (1, 1, 1, 1, 1)).verdict is Verdict.ZERO
         assert predict_gen_hooks(sh, (4, 1)).verdict is Verdict.NO_CLAIM
         assert predict_gen_hooks(sh, (3, 2)).verdict is Verdict.NO_CLAIM
+        assert predict_gen_hooks(sh, (2, 2, 1)).verdict is Verdict.NO_CLAIM
+        assert predict_gen_hooks(sh, (5,)).verdict is Verdict.NO_CLAIM
         # the short-legged hook really does appear, hence the cutoff
         assert gen_multiplicity(sh, (4, 1)) == 1
         assert gen_multiplicity(sh, (3, 1, 1)) == 0
@@ -165,6 +145,9 @@ class TestGenHooks:
     def test_weight_checked(self):
         with pytest.raises(ValueError):
             predict_gen_hooks(GeneralizedShape.from_blocks((2, 1)), (4, 1))
+        # the empty shape's one partition is no hook
+        with pytest.raises(ValueError, match="no hook shape"):
+            predict_gen_hooks(GeneralizedShape(()), ())
 
 
 class TestPredictionsFor:
@@ -228,8 +211,6 @@ class TestRuleOracle:
             for lam, _ in entries:
                 expected = oracle_predictions(a, b, lam)
                 assert predictions_for(shape, lam) == expected, (a, b, lam)
-                assert (predict_many_parts(lam, b), predict_hook(lam),
-                        predict_inside_bound(lam), predict_small_inside(lam)) == expected[:4]
 
 
 # every board of degree 31 to 36, a = 1 and b = 1 included
@@ -303,3 +284,18 @@ class TestVerifyAll:
 
     def test_claim_miss_is_returned(self, false_hook_claim):
         assert verify_all(2, 3) == [Discrepancy((6,), Rule.HOOK, 0, 1)]
+
+
+@pytest.mark.parametrize("run, label", [(census, "census"), (verify_all, "verify")])
+def test_deadline_bounds_the_rule_pass(monkeypatch, run, label):
+    hold = vanishing._hold
+
+    def slow(*args):
+        time.sleep(0.2)
+        return hold(*args)
+
+    monkeypatch.setattr(vanishing, "_hold", slow)
+    with pytest.raises(ComputeBudgetExceeded,
+                       match=rf"^2x3 {label} passed its time limit in the rule pass$"):
+        run(2, 3, deadline=0.1)
+    run(2, 3, deadline=60.0)
