@@ -66,11 +66,6 @@ class GeneralizedShape:
             if i and self.pairs[i - 1][0] <= size:
                 raise ValueError(f"sizes must strictly decrease: {self.pairs}")
 
-    @classmethod
-    def from_blocks(cls, blocks) -> "GeneralizedShape":
-        counts = Counter(blocks)
-        return cls(tuple(sorted(counts.items(), reverse=True)))
-
     @property
     def degree(self) -> int:
         return sum(size * count for size, count in self.pairs)

@@ -145,16 +145,15 @@ def inner(f: PSeries, g: PSeries) -> Fraction:
     return Fraction(total, factorial(f.degree) ** 2)
 
 
-def schur_expansion(f: PSeries, max_rows: int | None = None) -> dict[Partition, Fraction]:
+def schur_expansion(f: PSeries) -> dict[Partition, Fraction]:
     """Expand f over Schur functions: the returned dict maps shape to coefficient.
 
     This is the definition, with no strips: the coefficient of s_lam is the
     Hall inner product <f, s_lam> = sum_mu [p_mu] f * chi^lam(mu), summed over
-    f's own support, for every lam with at most max_rows rows. Zero
-    coefficients are left out.
+    f's own support, for every lam. Zero coefficients are left out.
     """
     out = {}
-    for lam in enum_partitions(f.degree, max_parts=max_rows):
+    for lam in enum_partitions(f.degree):
         total = sum(c * mn_char(lam, mu) for mu, c in f.coeffs.items())
         if total:
             out[lam] = Fraction(total, factorial(f.degree))
@@ -185,7 +184,8 @@ def plethysm_h_expansion(b: int, a: int, max_rows: int | None = None,
     row. Only at the end do states become tuples and the coefficients get
     their one division, by b! * a!^b. `deadline` is a wall-clock budget in
     seconds for all the stages together; running past it raises
-    ComputeBudgetExceeded naming the stage j of b that was running.
+    ComputeBudgetExceeded naming the board and the stage j of b that was
+    running.
     """
     if b < 0 or a < 0:
         raise ValueError("degrees must be >= 0")
@@ -198,7 +198,7 @@ def plethysm_h_expansion(b: int, a: int, max_rows: int | None = None,
             for state, c in stages[j - k].items():
                 if stop is not None and time.monotonic() > stop:
                     raise ComputeBudgetExceeded(
-                        f"plethysm expansion passed its time limit at stage {j} of {b}")
+                        f"{a}x{b} table passed its time limit at expansion stage {j} of {b}")
                 c *= weight
                 for moved, height in ribbon_strips(state, k, a):
                     table[moved] = table.get(moved, 0) + (-c if height % 2 else c)

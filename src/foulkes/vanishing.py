@@ -4,11 +4,13 @@ Each rule inspects a shape combinatorially and either commits to a
 multiplicity (zero, one, or an explicit count) or declines with NO_CLAIM.
 Every rule of a Foulkes board is defined once, in _rules, which reads a
 shape's hook coordinates off a few of its parts in integer arithmetic and
-answers with (rule, verdict, expected) tuples. predictions_for wraps those
-tuples in Prediction objects for one shape; predict_gen_hooks is the one rule
-for boards with several block sizes. census() and verify_all() hold the
-tuples against the exact decomposition in one pass over the table, and build
-a Discrepancy only where a claim misses.
+answers with (rule, verdict, expected) tuples, expected being the
+multiplicity a claim commits to and None on NO_CLAIM. A Prediction is the
+same tuple with its fields named: predictions_for gives one per rule for one
+shape, and predict_gen_hooks is the one rule for boards with several block
+sizes. census() and verify_all() hold the plain tuples against the exact
+decomposition in one pass over the table, and build a Discrepancy only where
+a claim misses.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from foulkes.decomposition import FoulkesShape, GeneralizedShape, decompose
 from foulkes.partitions import (
@@ -44,30 +47,13 @@ class Rule(str, Enum):
     GEN_HOOK = "gen-hook"
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """What one rule asserts about one multiplicity."""
+class Prediction(NamedTuple):
+    """What one rule asserts about one multiplicity: the multiplicity it
+    commits to, or None on NO_CLAIM."""
 
-    partition: Partition
-    verdict: Verdict
     rule: Rule
-    value: int | None = None
-
-    def __post_init__(self):
-        if self.verdict is Verdict.VALUE:
-            if self.value is None:
-                raise ValueError("VALUE verdict needs an explicit value")
-        elif self.value is not None:
-            raise ValueError(f"verdict {self.verdict} does not carry a value")
-
-    def expected(self) -> int:
-        if self.verdict is Verdict.ZERO:
-            return 0
-        if self.verdict is Verdict.ONE:
-            return 1
-        if self.verdict is Verdict.VALUE:
-            return self.value
-        raise ValueError("NO_CLAIM predicts nothing")
+    verdict: Verdict
+    expected: int | None
 
 
 @dataclass(frozen=True)
@@ -101,7 +87,7 @@ class CensusReport:
 
 
 def _either(rule: Rule, verdict: Verdict, expected: int) -> tuple[tuple, tuple]:
-    """One rule's two answers as _rules gives them, indexed by whether it fires."""
+    """One rule's two (rule, verdict, expected) answers, indexed by whether it fires."""
     return (rule, Verdict.NO_CLAIM, None), (rule, verdict, expected)
 
 
@@ -110,6 +96,7 @@ _HOOK = _either(Rule.HOOK, Verdict.ZERO, 0)
 _INSIDE_BOUND = _either(Rule.INSIDE_BOUND, Verdict.ZERO, 0)
 _SMALL_INSIDE = _either(Rule.SMALL_INSIDE, Verdict.ZERO, 0)
 _COLUMN_INSIDE = _either(Rule.COLUMN_INSIDE, Verdict.ONE, 1)
+_GEN_HOOK = _either(Rule.GEN_HOOK, Verdict.ZERO, 0)
 
 
 def _rules(lam: Partition, n: int, b: int,
@@ -170,8 +157,7 @@ def predict_gen_hooks(shape: GeneralizedShape, lam) -> Prediction:
         raise ValueError(f"{lam} is not a partition of {shape.degree}")
     if not lam:
         raise ValueError("the empty partition has no hook shape")
-    fires = len(lam) > shape.distinct_sizes and lam[1] == 1
-    return Prediction(lam, Verdict.ZERO if fires else Verdict.NO_CLAIM, Rule.GEN_HOOK)
+    return Prediction._make(_GEN_HOOK[len(lam) > shape.distinct_sizes and lam[1] == 1])
 
 
 def predictions_for(shape: FoulkesShape, lam) -> tuple[Prediction, ...]:
@@ -183,8 +169,7 @@ def predictions_for(shape: FoulkesShape, lam) -> tuple[Prediction, ...]:
         raise ValueError(f"{lam} is not a partition of {shape.degree}")
     if not lam:
         return ()
-    return tuple(Prediction(lam, verdict, rule, expected if verdict is Verdict.VALUE else None)
-                 for rule, verdict, expected in _rules(lam, shape.degree, shape.b, shape.a))
+    return tuple(map(Prediction._make, _rules(lam, shape.degree, shape.b, shape.a)))
 
 
 def _hold(shape: FoulkesShape, rows) -> tuple[list[Discrepancy], int]:

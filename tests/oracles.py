@@ -16,9 +16,9 @@ Sym^b(Sym^a C^rows) by a knapsack, then Weyl's alternating sum over S_rows.
 
 The rule oracle at the end is the one part that reaches into the
 package, for its public HookCoordinates and Prediction types only: it is
-the hook-coordinate form of the vanishing rules, one validated object per
-shape and per rule, so the package's integer pass can be held to it field
-for field.
+the hook-coordinate form of the vanishing rules, a validated HookCoordinates
+per shape and a Prediction per rule, so the package's integer pass can be
+held to it field for field.
 """
 
 from collections import Counter
@@ -227,7 +227,8 @@ def oracle_predictions(a, b, lam):
     from foulkes.vanishing import Prediction, Rule, Verdict
 
     def zero_if(fires, rule):
-        return Prediction(lam, Verdict.ZERO if fires else Verdict.NO_CLAIM, rule)
+        return Prediction(rule, Verdict.ZERO, 0) if fires else \
+            Prediction(rule, Verdict.NO_CLAIM, None)
 
     coords = to_hook_coords(lam)
     assert coords.total == a * b
@@ -242,12 +243,12 @@ def oracle_predictions(a, b, lam):
     ]
     if len(lam) <= 2:
         r = lam[1] if len(lam) == 2 else 0
-        preds.append(Prediction(lam, Verdict.VALUE, Rule.TWO_ROW,
-                                value=oracle_box_count(r, a, b) - oracle_box_count(r - 1, a, b)))
+        preds.append(Prediction(Rule.TWO_ROW, Verdict.VALUE,
+                                oracle_box_count(r, a, b) - oracle_box_count(r - 1, a, b)))
     if len(lam) >= 2 and lam[0] >= 2 and all(p == 2 for p in lam[1:]):
         claimed = 1 <= k < b and a >= 2
-        preds.append(Prediction(lam, Verdict.ONE if claimed else Verdict.NO_CLAIM,
-                                Rule.COLUMN_INSIDE))
+        preds.append(Prediction(Rule.COLUMN_INSIDE, Verdict.ONE, 1) if claimed else
+                     Prediction(Rule.COLUMN_INSIDE, Verdict.NO_CLAIM, None))
     return tuple(preds)
 
 
@@ -259,7 +260,7 @@ def oracle_hold(a, b, rows):
     misses, called = [], 0
     for lam, actual in rows:
         claims = [p for p in oracle_predictions(a, b, lam) if p.verdict is not Verdict.NO_CLAIM]
-        misses += [Discrepancy(lam, p.rule, p.expected(), actual)
-                   for p in claims if p.expected() != actual]
+        misses += [Discrepancy(lam, p.rule, p.expected, actual)
+                   for p in claims if p.expected != actual]
         called += any(p.verdict is Verdict.ZERO for p in claims)
     return misses, called

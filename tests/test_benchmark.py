@@ -5,7 +5,9 @@ perfbench/workloads.py times `cli.main`, `verify_all(..., jobs=2)` and
 process, so a change that breaks one of them (a renamed function, or a
 dropped option such as `verify_all`'s `jobs`) fails here and not only in
 the benchmark. The sweep's 50 boards together take a few hundredths of a
-second, so every one of them runs.
+second, so every one of them runs. perfbench/make_reference.py, which
+writes the table the queries are checked against, is run into a temporary
+file and must reproduce the committed one byte for byte.
 """
 
 import importlib.util
@@ -15,9 +17,16 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
-workloads = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(workloads)
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load("workloads")
+make_reference = load("make_reference")
 
 
 @pytest.mark.parametrize("name", workloads.NAMES)
@@ -34,3 +43,10 @@ def test_every_sweep_operation_passes_its_check():
     assert len(ops) == workloads.operation_count(name) == 50
     verdicts = workloads.Checker(name).check(seed, rep, [{"out": op()} for op in ops])
     assert verdicts == [True] * 50
+
+
+def test_reference_table_is_reproduced(monkeypatch, tmp_path):
+    out = tmp_path / "reference_3x10.txt"
+    monkeypatch.setattr(make_reference, "REFERENCE", str(out))
+    assert make_reference.main([]) == 0
+    assert out.read_bytes() == (PERFBENCH / "reference_3x10.txt").read_bytes()

@@ -162,17 +162,9 @@ class TestSchurExpansion:
         for mu in enum_partitions(sum(lam)):
             assert expansion.get(mu, 0) == inner(series, schur_series(mu))
 
-    @given(partitions(min_weight=1, max_weight=7), st.integers(1, 5))
-    def test_row_cap_is_a_filter(self, lam, cap):
-        series = h_series(0)
-        for part in lam:
-            series = multiply(series, h_series(part))
-        full = schur_expansion(series)
-        capped = schur_expansion(series, max_rows=cap)
-        assert capped == {mu: c for mu, c in full.items() if len(mu) <= cap}
-
     def test_expired_budget_raises(self):
-        with pytest.raises(ComputeBudgetExceeded, match="plethysm expansion .* stage 1 of 4"):
+        with pytest.raises(ComputeBudgetExceeded, match=r"^2x4 table passed its time limit "
+                                                        r"at expansion stage 1 of 4$"):
             plethysm_h_expansion(4, 2, deadline=-1.0)
 
 

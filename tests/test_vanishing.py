@@ -22,7 +22,6 @@ from foulkes.symfunc import ComputeBudgetExceeded
 from foulkes.vanishing import (
     CensusReport,
     Discrepancy,
-    Prediction,
     Rule,
     Verdict,
     census,
@@ -35,31 +34,21 @@ from oracles import oracle_hold, oracle_predictions
 from strats import small_shapes
 
 
-class TestPrediction:
-    def test_expected_values(self):
-        assert Prediction((2,), Verdict.ZERO, Rule.HOOK).expected() == 0
-        assert Prediction((2,), Verdict.ONE, Rule.COLUMN_INSIDE).expected() == 1
-        assert Prediction((2,), Verdict.VALUE, Rule.TWO_ROW, value=7).expected() == 7
-        with pytest.raises(ValueError):
-            Prediction((2,), Verdict.NO_CLAIM, Rule.HOOK).expected()
-
-    def test_value_bookkeeping(self):
-        with pytest.raises(ValueError):
-            Prediction((2,), Verdict.VALUE, Rule.TWO_ROW)
-        with pytest.raises(ValueError):
-            Prediction((2,), Verdict.ZERO, Rule.HOOK, value=0)
-
-
 def verdict(lam, rule, b=0):
     """The verdict of one always-read rule on lam, with no board: b only
     matters to many-parts."""
     return next(v for r, v, _ in _rules(lam, sum(lam), b) if r is rule)
 
 
+def column_shape(shape, k):
+    """(degree-2k, 2^k): the column (1^k) inside the hook."""
+    return (shape.degree - 2 * k,) + (2,) * k
+
+
 def column_inside(shape, k):
-    """The column-inside prediction for (degree-2k, 2^k) on shape."""
-    lam = (shape.degree - 2 * k,) + (2,) * k
-    return next(p for p in predictions_for(shape, lam) if p.rule is Rule.COLUMN_INSIDE)
+    """The column-inside prediction for column_shape(shape, k)."""
+    preds = predictions_for(shape, column_shape(shape, k))
+    return next(p for p in preds if p.rule is Rule.COLUMN_INSIDE)
 
 
 class TestPredicates:
@@ -104,8 +93,8 @@ class TestPredicates:
 
 class TestColumnInside:
     def test_claims(self):
-        assert column_inside(FoulkesShape(3, 4), 2).verdict is Verdict.ONE
-        assert column_inside(FoulkesShape(3, 4), 2).partition == (8, 2, 2)
+        assert column_inside(FoulkesShape(3, 4), 2) == (Rule.COLUMN_INSIDE, Verdict.ONE, 1)
+        assert column_shape(FoulkesShape(3, 4), 2) == (8, 2, 2)
         assert column_inside(FoulkesShape(3, 4), 3).verdict is Verdict.ONE
         # k reaching b is out of scope
         assert column_inside(FoulkesShape(3, 4), 4).verdict is Verdict.NO_CLAIM
@@ -123,14 +112,15 @@ class TestColumnInside:
         a, b = shape
         if k >= b or a * b - 2 * k < 2:
             return
-        pred = column_inside(FoulkesShape(a, b), k)
+        sh = FoulkesShape(a, b)
+        pred = column_inside(sh, k)
         assert pred.verdict is Verdict.ONE
-        assert multiplicity(FoulkesShape(a, b), pred.partition) == 1
+        assert multiplicity(sh, column_shape(sh, k)) == pred.expected == 1
 
 
 class TestGenHooks:
     def test_two_sizes(self):
-        sh = GeneralizedShape.from_blocks((2, 2, 1))
+        sh = GeneralizedShape(((2, 2), (1, 1)))
         assert predict_gen_hooks(sh, (3, 1, 1)).verdict is Verdict.ZERO
         assert predict_gen_hooks(sh, (2, 1, 1, 1)).verdict is Verdict.ZERO
         assert predict_gen_hooks(sh, (1, 1, 1, 1, 1)).verdict is Verdict.ZERO
@@ -144,7 +134,7 @@ class TestGenHooks:
 
     def test_weight_checked(self):
         with pytest.raises(ValueError):
-            predict_gen_hooks(GeneralizedShape.from_blocks((2, 1)), (4, 1))
+            predict_gen_hooks(GeneralizedShape(((2, 1), (1, 1))), (4, 1))
         # the empty shape's one partition is no hook
         with pytest.raises(ValueError, match="no hook shape"):
             predict_gen_hooks(GeneralizedShape(()), ())
@@ -176,7 +166,7 @@ class TestPredictionsFor:
         actual = multiplicity(sh, lam)
         for pred in predictions_for(sh, lam):
             if pred.verdict is not Verdict.NO_CLAIM:
-                assert pred.expected() == actual, (lam, pred.rule)
+                assert pred.expected == actual, (lam, pred.rule)
 
 
 # every board with a*b <= 18, a = 1 and b = 1 included
@@ -206,11 +196,16 @@ class TestRuleOracle:
         assert missed == set(Rule) - {Rule.GEN_HOOK}
 
     def test_predictions_match_oracle(self, tables):
+        # and expected is None exactly on NO_CLAIM, 0 on ZERO and 1 on ONE
+        committed = {Verdict.ZERO: 0, Verdict.ONE: 1}
         for (a, b), entries in tables.items():
             shape = FoulkesShape(a, b)
             for lam, _ in entries:
                 expected = oracle_predictions(a, b, lam)
                 assert predictions_for(shape, lam) == expected, (a, b, lam)
+                for rule, verdict, value in _rules(lam, a * b, b, a):
+                    assert (value is None) == (verdict is Verdict.NO_CLAIM), (a, b, lam, rule)
+                    assert committed.get(verdict, value) == value, (a, b, lam, rule)
 
 
 # every board of degree 31 to 36, a = 1 and b = 1 included
