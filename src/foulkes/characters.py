@@ -16,7 +16,6 @@ from math import factorial
 
 from foulkes.partitions import (
     Partition,
-    conjugate,
     ribbon_strips,
     to_abacus,
     validate_partition,
@@ -53,16 +52,20 @@ def _mn(state: int, cycles: Partition) -> int:
 
 
 def dimension(lam: Partition) -> int:
-    """Degree of the irreducible character, by the hook length product."""
+    """Degree of the irreducible character, by the hook length formula in
+    Frobenius' form: n! * prod_(i<j) (h_i - h_j) / prod_i h_i!, over the
+    hook lengths h_i = lam_i + len(lam) - 1 - i of the first column, which
+    are lam's beta numbers."""
     lam = validate_partition(lam)
-    n = sum(lam)
-    conj = conjugate(lam)
-    hooks = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hooks *= row - j + conj[j] - i - 1
-    num = factorial(n)
-    if num % hooks:
-        raise ArithmeticError(f"hook product {hooks} does not divide {n}!")
-    return num // hooks
-
+    rows = len(lam)
+    hooks = [part + rows - 1 - i for i, part in enumerate(lam)]
+    num = factorial(sum(lam))
+    den = 1
+    for i, hook in enumerate(hooks):
+        den *= factorial(hook)
+        for lower in hooks[i + 1:]:
+            num *= hook - lower
+    if num % den:
+        raise ArithmeticError(f"the hook factorials {den} do not divide n! times "
+                              f"the hook differences, {num}")
+    return num // den

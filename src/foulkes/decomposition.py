@@ -254,16 +254,23 @@ def decompose(shape: FoulkesShape, use_fastpath: bool = True,
     budget in seconds for the expansion and the listing together; running
     past it raises symfunc.ComputeBudgetExceeded naming the stage.
     """
+    return _table(shape, use_fastpath, jobs, deadline)
+
+
+def _table(shape: FoulkesShape, use_fastpath: bool, jobs: int,
+           deadline: float | None, max_rows: int | None = None) -> DecompositionTable:
+    """decompose's checked table, listing only the shapes with at most
+    max_rows rows when it is given; every nonzero row has at most b rows,
+    so the |Omega| check holds for any max_rows >= b."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     stop = None if deadline is None else time.monotonic() + deadline
-    max_rows = shape.b if use_fastpath else None
     expansion = symfunc.plethysm_h_expansion(
-        shape.b, shape.a, max_rows=max_rows, deadline=deadline)
+        shape.b, shape.a, max_rows=shape.b if use_fastpath else None, deadline=deadline)
     entries = tuple(
         (lam, _exact(value, "%dx%d table: multiplicity of %s", shape.a, shape.b, lam)
          if (value := expansion.get(lam)) else 0)
-        for lam in enum_partitions(shape.degree))
+        for lam in enum_partitions(shape.degree, max_parts=max_rows))
     if stop is not None and time.monotonic() > stop:
         raise symfunc.ComputeBudgetExceeded(
             f"{shape.a}x{shape.b} table passed its time limit listing the "

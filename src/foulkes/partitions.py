@@ -2,6 +2,10 @@
 
 A partition is a plain tuple of weakly decreasing positive ints; () is the
 empty partition. Everything here is exact integer arithmetic.
+enum_partitions is one loop with no recursion (ZS1). On the abacus a shape
+is one int with a bit per bead, so ribbon_strips reads the beads that can
+move off shifted masks of it, and finds the moves that floor forces band by
+band of k positions, before it visits any bead on its own.
 """
 
 from __future__ import annotations
@@ -137,30 +141,57 @@ def from_hook_coords(coords: HookCoordinates) -> Partition:
 
 def enum_partitions(n: int, max_parts: int | None = None,
                     max_part: int | None = None) -> list[Partition]:
-    """All partitions of n in descending lexicographic order, optionally bounded."""
+    """All partitions of n in descending lexicographic order, optionally bounded.
+
+    Zoghbi and Stojmenovic's ZS1 ("Fast algorithms for generating integer
+    partitions", 1998), with no recursion: x holds the partition padded with
+    ones, m is its number of parts and h the index of its last part above 1.
+    The next partition lowers x[h] by one and refills the rest greedily with
+    parts of the new size. With max_parts, where the rest does not fit in the
+    parts left, h moves left first. The first partition meets max_part, and
+    no later one has a larger part.
+    """
     if n < 0:
         raise ValueError("weight must be >= 0")
     if n == 0:
         return [()]
     cap = n if max_part is None else min(max_part, n)
-    slots = n if max_parts is None else max_parts
-    out: list[Partition] = []
-    acc: list[int] = []
-
-    def rec(rem: int, biggest: int, room: int) -> None:
-        if rem == 0:
-            out.append(tuple(acc))
-            return
-        if room <= 0:
-            return
-        for part in range(min(rem, biggest), 0, -1):
-            if part * room < rem:
-                break
-            acc.append(part)
-            rec(rem - part, part, room - 1)
-            acc.pop()
-
-    rec(n, cap, slots)
+    slots = n if max_parts is None else min(max_parts, n)
+    if cap < 1 or slots < 1 or cap * slots < n:
+        return []
+    m, rest = divmod(n, cap)
+    x = [cap] * m + [1] * (slots - m)
+    if rest:
+        x[m] = rest
+        m += 1
+    h = m - 1
+    while h >= 0 and x[h] == 1:
+        h -= 1
+    out = [tuple(x[:m])]
+    while h >= 0:
+        part = x[h] - 1
+        spare = m - h  # the ones after h, and the unit taken off x[h]
+        while spare > part * (slots - h - 1):
+            spare += part + 1
+            x[h] = 1
+            h -= 1
+            if h < 0:
+                return out
+            part = x[h] - 1
+        x[h] = part
+        if part == 1:
+            m = h + 1 + spare
+            h -= 1
+        else:
+            while spare >= part:
+                h += 1
+                x[h] = part
+                spare -= part
+            m = h + 1 if not spare else h + 2
+            if spare > 1:
+                h += 1
+                x[h] = spare
+        out.append(tuple(x[:m]))
     return out
 
 
@@ -235,16 +266,6 @@ def to_abacus(lam: Partition, beads: int | None = None) -> int:
     return state
 
 
-def bead_positions(state: int) -> list[int]:
-    """The positions of an abacus' beads, lowest first."""
-    out = []
-    while state:
-        bead = state & -state
-        state ^= bead
-        out.append(bead.bit_length() - 1)
-    return out
-
-
 def from_abacus(state: int) -> Partition:
     """The partition of an abacus with any number of beads; zero rows drop."""
     parts = []
@@ -259,8 +280,8 @@ def from_abacus(state: int) -> Partition:
     return tuple(parts[::-1])
 
 
-def ribbon_strips(state: int, delta: int, count: int, floor: bool = False,
-                  positions: list[int] | None = None) -> list[tuple[int, int]]:
+def ribbon_strips(state: int, delta: int, count: int,
+                  floor: bool = False) -> list[tuple[int, int]]:
     """Every (state, height) reached by adding (delta > 0) or removing
     (delta < 0) a horizontal strip of `count` ribbons of length k = |delta|
     (the ribbon Pieri rule, Lascoux-Leclerc-Thibon 1997); a border strip is
@@ -271,71 +292,85 @@ def ribbon_strips(state: int, delta: int, count: int, floor: bool = False,
     all, each bead staying strictly short of the old position of the next
     bead ahead of it on its runner (below it when removing, above it when
     adding, where a runner's top bead is bounded by `count` alone); so no
-    move ever lands on a bead, in whatever order they are made. A bead
-    moving m steps adds or removes m ribbons, whose heights add up to the
-    number of beads strictly between its old and new position when it
-    moves. The height returned is that sum over the moves, and its parity
-    is the strip's sign, which no order of the moves changes. The bead count
-    never changes, so an addition never makes a shape with more rows than
-    there are beads. With `floor` (removals only), only strips leaving the
-    bottom k rows empty are made: the lowest bead of each runner r is forced
-    onto position r, and those moves are made first. `positions` may pass
-    bead_positions(state) in when the caller already has it.
+    move ever lands on a bead. Only a bead with an empty position k ahead
+    can move, and a mask reads them all: state & ~(state << k) from position
+    k up when removing, state & ~(state >> k) when adding. The beads move
+    lowest first when removing and highest first when adding. A bead moving
+    m steps adds or removes m ribbons, whose heights add up to the number of
+    beads strictly between its old and new position when it moves. The
+    height returned is that sum over the moves, and its parity is the
+    strip's sign, which no order of the moves changes. The bead count never
+    changes, so an addition never makes a shape with more rows than there
+    are beads.
+
+    With `floor` (removals only), only strips leaving the bottom k rows
+    empty are made: the lowest bead of each runner r is forced onto
+    position r, and those moves are made first. They are found band by
+    band before any bead moves: of the runners empty at the bottom,
+    ~state & (2^k - 1), band j hits those with a bead j*k above their
+    residue, at j steps each. A runner with no bead, or more forced steps
+    than `count`, leaves no strip.
     """
     k = abs(delta)
     if not k or count < 0:
         raise ValueError("a ribbon strip needs a nonzero length and count >= 0")
     if floor and delta > 0:
         raise ValueError("floor applies to removals only")
-    if positions is None:
-        positions = bead_positions(state)
-    last = [-1] * k
+    height = 0
     # free: (bead, [(destination, the positions strictly between)] by steps)
     free = []
-    height = 0
     if delta > 0:
-        for p in reversed(positions):
-            above = last[p % k]
-            last[p % k] = p
-            steps = count if above < 0 else (above - p) // k - 1
-            if steps > 0:
-                if steps > count:
-                    steps = count
-                bead = dest = 1 << p
-                moves = []
-                for _ in range(steps):
-                    dest <<= k
-                    moves.append((dest, dest - (bead << 1)))
-                free.append((bead, moves))
+        movable = state & ~(state >> k)
+        while movable:
+            bead = 1 << movable.bit_length() - 1
+            movable ^= bead
+            dest = bead
+            moves = []
+            for _ in range(count):
+                dest <<= k
+                if state & dest:
+                    break
+                moves.append((dest, dest - (bead << 1)))
+            free.append((bead, moves))
     else:
-        for p in positions:
-            below = last[p % k]
-            last[p % k] = p
-            if below >= 0:
-                steps = (p - below) // k - 1
-            elif not floor:
-                steps = p // k
-            else:
-                if p >= k:
-                    # the forced move: the runner's lowest bead lands on its residue
-                    count -= p // k
+        low = (1 << k) - 1
+        movable = state & ~(state << k) & ~low
+        moved = state
+        if floor:
+            empty = ~state & low
+            band = state
+            forced = j = 0
+            while empty:
+                band >>= k
+                j += 1
+                if not band:
+                    return []
+                hit = empty & band
+                if hit:
+                    count -= j * hit.bit_count()
                     if count < 0:
                         return []
-                    dest = 1 << p % k
-                    height += (state & (1 << p) - (dest << 1)).bit_count()
-                    state ^= 1 << p | dest
-                continue
-            if steps > 0:
-                if steps > count:
-                    steps = count
-                bead = dest = 1 << p
-                moves = []
-                for _ in range(steps):
-                    dest >>= k
-                    moves.append((dest, bead - (dest << 1)))
-                free.append((bead, moves))
-        if floor and -1 in last:
-            return []
+                    empty ^= hit
+                    forced |= hit << j * k
+            movable &= ~forced
+            while forced:
+                bead = forced & -forced
+                forced ^= bead
+                dest = 1 << (bead.bit_length() - 1) % k
+                height += (moved & bead - (dest << 1)).bit_count()
+                moved ^= bead | dest
+        while movable:
+            bead = movable & -movable
+            movable ^= bead
+            dest = bead
+            moves = []
+            for _ in range(count):
+                dest >>= k
+                if not dest or state & dest:
+                    break
+                moves.append((dest, bead - (dest << 1)))
+            free.append((bead, moves))
+        state = moved
     # most[i]: the steps that beads i.. can take between them
     most = [0] * (len(free) + 1)
     for i in range(len(free) - 1, -1, -1):

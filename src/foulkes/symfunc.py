@@ -28,7 +28,6 @@ from math import comb, factorial
 from foulkes.characters import mn_char
 from foulkes.partitions import (
     Partition,
-    bead_positions,
     centralizer_order,
     enum_partitions,
     from_abacus,
@@ -160,13 +159,6 @@ def schur_expansion(f: PSeries) -> dict[Partition, Fraction]:
     return out
 
 
-def _newton_terms(j: int, a: int) -> list[tuple[int, int]]:
-    """(k, (j-1)!/(j-k)! * a!^k) for k = 1..j: the Newton recursion
-    j * h_j[h_a] = sum_k p_k[h_a] * h_(j-k)[h_a], scaled to T_j = j! * a!^j * h_j[h_a]."""
-    return [(k, factorial(j - 1) // factorial(j - k) * factorial(a) ** k)
-            for k in range(1, j + 1)]
-
-
 def plethysm_h_expansion(b: int, a: int, max_rows: int | None = None,
                          deadline: float | None = None) -> dict[Partition, Fraction]:
     """Schur expansion of h_b[h_a], built stage by stage in the Schur basis.
@@ -192,9 +184,11 @@ def plethysm_h_expansion(b: int, a: int, max_rows: int | None = None,
     stop = None if deadline is None else time.monotonic() + deadline
     beads = b * a if max_rows is None else min(max_rows, b * a)
     stages: list[dict[int, int]] = [{to_abacus((), beads): 1}]
+    unit = factorial(a)
     for j in range(1, b + 1):
         table: dict[int, int] = {}
-        for k, weight in _newton_terms(j, a):
+        weight = unit  # (j-1)!/(j-k)! * a!^k, kept as a running product
+        for k in range(1, j + 1):
             for state, c in stages[j - k].items():
                 if stop is not None and time.monotonic() > stop:
                     raise ComputeBudgetExceeded(
@@ -202,6 +196,7 @@ def plethysm_h_expansion(b: int, a: int, max_rows: int | None = None,
                 c *= weight
                 for moved, height in ribbon_strips(state, k, a):
                     table[moved] = table.get(moved, 0) + (-c if height % 2 else c)
+            weight *= (j - k) * unit
         stages.append({state: c for state, c in table.items() if c})
     scale = factorial(b) * factorial(a) ** b
     return {from_abacus(state): Fraction(c, scale) for state, c in stages[b].items()}
@@ -232,40 +227,45 @@ def plethysm_h_pull(blocks, prune: bool = True):
     keyed by the state alone and lives as long as the returned function.
     """
     blocks = validate_partition(blocks)
-    levels: list[tuple[int, list[tuple[int, int]]]] = [(0, [])]
+    levels: list[tuple[int, int, int]] = [(0, 0, 1)]
     scale = 1
     run = 0
     for t, a in enumerate(blocks):
         run = run + 1 if t and blocks[t - 1] == a else 1
-        levels.append((a, _newton_terms(run, a)))
+        levels.append((a, run, factorial(a)))
         scale *= run * factorial(a)
     bounds = list(accumulate(blocks))
     memo = {0: 1}
 
-    def dominant(positions: list[int]) -> bool:
+    def dominant(state: int) -> bool:
+        # the rows top down are the top beads less the beads below each;
+        # the last row's sum is the level's weight, so it is not compared
         acc = 0
-        for bound, i in zip(bounds, range(len(positions) - 1, 0, -1)):
-            acc += positions[i] - i
+        for bound, below in zip(bounds, range(state.bit_count() - 1, 0, -1)):
+            top = state.bit_length() - 1
+            state ^= 1 << top
+            acc += top - below
             if acc < bound:
                 return False
         return True
 
     def pull(t: int, state: int) -> int:
-        positions = bead_positions(state)
         total = 0
-        if not prune or dominant(positions):
-            a, terms = levels[t]
-            for k, weight in terms:
+        if not prune or dominant(state):
+            a, run, unit = levels[t]
+            weight = unit  # as in plethysm_h_expansion, with j = run
+            for k in range(1, run + 1):
                 if prune and k - (state & (1 << k) - 1).bit_count() > a:
                     break
                 acc = 0
-                for nu, height in ribbon_strips(state, -k, a, prune, positions):
+                for nu, height in ribbon_strips(state, -k, a, prune):
                     nu >>= k if prune else (~nu & nu + 1).bit_length() - 1
                     value = memo.get(nu)
                     if value is None:
                         value = pull(t - k, nu)
                     acc += -value if height % 2 else value
                 total += weight * acc
+                weight *= (run - k) * unit
         memo[state] = total
         return total
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from foulkes.decomposition import FoulkesShape, GeneralizedShape, decompose
+from foulkes.decomposition import FoulkesShape, GeneralizedShape, _table, decompose
 from foulkes.partitions import (
     Partition,
     count_box_partitions,
@@ -208,8 +208,7 @@ def census(a: int, b: int, jobs: int = 1,
     shape = FoulkesShape(a, b)
     start = time.perf_counter()
     stop = None if deadline is None else time.monotonic() + deadline
-    table = decompose(shape, jobs=jobs, deadline=deadline)
-    rows = [(lam, actual) for lam, actual in table.entries if len(lam) <= b]
+    rows = _table(shape, True, jobs, deadline, max_rows=b).entries
     zero = sum(1 for _, actual in rows if actual == 0)
     misses, predicted = _hold(shape, rows)
     if stop is not None and time.monotonic() > stop:

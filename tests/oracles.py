@@ -24,7 +24,7 @@ held to it field for field.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 from operator import add
 
@@ -166,6 +166,57 @@ def oracle_strip_additions(lam, length, max_rows=None):
     return tuple(out)
 
 
+def oracle_ribbon_strips(lam, beads, delta, count, floor=False):
+    """Every horizontal strip of `count` ribbons of length k = |delta| added
+    to (delta > 0) or removed from (delta < 0) lam, written with `beads`
+    beta numbers: (shape, height) pairs, one per strip, with the height's
+    parity the strip's sign.
+
+    Every step vector is tried: each multiset of `count` beads, a bead moving
+    k along its runner once for each time it is chosen. A strip is horizontal
+    when every runner's quotient changes by a horizontal strip, so each bead
+    stays strictly short of the old position of the next bead ahead of it on
+    its runner, and removals stay at or above position 0. With floor, only
+    strips whose result holds positions 0..k-1 are kept. The height is the
+    number of bead pairs whose order the moves swap: the sign of the
+    permutation that sorts the moved beads is (-1)^height.
+    """
+    k = abs(delta)
+    step = k if delta > 0 else -k
+    padded = tuple(lam) + (0,) * (beads - len(lam))
+    beta = sorted(part + beads - 1 - i for i, part in enumerate(padded))
+    bound = []
+    for old in beta:
+        runner = [b for b in beta if b % k == old % k]
+        if delta > 0:
+            bound.append(min([b for b in runner if b > old], default=None))
+        else:
+            bound.append(max([b for b in runner if b < old], default=-1))
+
+    def short(i, pos):
+        if delta > 0:
+            return bound[i] is None or pos < bound[i]
+        return pos > bound[i]
+
+    # a step vector that moves a bead with no room for one step fails
+    movable = [i for i in range(beads) if short(i, beta[i] + step)]
+    out = []
+    for chosen in combinations_with_replacement(movable, count):
+        moved = list(beta)
+        for i in chosen:
+            moved[i] += step
+        # only the chosen beads moved, so only they can pass their bound
+        if not all(short(i, moved[i]) for i in chosen):
+            continue
+        if floor and not set(range(k)) <= set(moved):
+            continue
+        height = sum(1 for i, j in combinations(range(beads), 2) if moved[i] > moved[j])
+        desc = sorted(moved, reverse=True)
+        parts = (b - (beads - 1 - i) for i, b in enumerate(desc))
+        out.append((tuple(p for p in parts if p), height))
+    return out
+
+
 def oracle_weight_multiplicities(a, b, rows):
     """Weight multiplicities K of Sym^b(Sym^a C^rows), keyed by exponent vector.
 
@@ -209,6 +260,19 @@ def oracle_weyl_multiplicities(a, b, rows):
             out[lam] = sum(sign * weights.get(tuple(map(add, padded, shift)), 0)
                            for sign, shift in shifts)
     return out
+
+
+def oracle_dimension(lam):
+    """Degree of the irreducible lam: n! over the product of its cells' hook
+    lengths (Frame-Robinson-Thrall), arm plus leg plus one."""
+    columns = [sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0)]
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= (row - j - 1) + (columns[j] - i - 1) + 1
+    dim, rest = divmod(factorial(sum(lam)), hooks)
+    assert rest == 0, lam
+    return dim
 
 
 def oracle_box_count(r, a, b):

@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from foulkes.bruteforce import (
     apply_permutation,

@@ -2,12 +2,18 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from foulkes import characters
 from foulkes.characters import dimension, mn_char
 from foulkes.partitions import centralizer_order, conjugate, enum_partitions
 from foulkes.symfunc import h_series, multiply
-from oracles import oracle_char_table, oracle_young_value
+from oracles import (
+    oracle_char_table,
+    oracle_dimension,
+    oracle_partitions,
+    oracle_young_value,
+)
 from strats import partitions
 
 FROZEN_S4 = {
@@ -70,6 +76,23 @@ def test_class_argument_order_is_free():
 @given(partitions(min_weight=1, max_weight=12))
 def test_dimension_is_identity_column(lam):
     assert dimension(lam) == mn_char(lam, (1,) * sum(lam))
+
+
+def test_dimension_matches_hook_product():
+    for n in range(21):
+        for lam in oracle_partitions(n):
+            assert dimension(lam) == oracle_dimension(lam), lam
+
+
+def test_dimensions_square_to_the_group_order():
+    for n in range(15):
+        assert sum(dimension(lam) ** 2 for lam in enum_partitions(n)) == factorial(n)
+
+
+def test_dimension_checks_divisibility(monkeypatch):
+    monkeypatch.setattr(characters, "factorial", lambda n: 7)
+    with pytest.raises(ArithmeticError, match="do not divide"):
+        dimension((2, 1))
 
 
 def test_young_perm_char_matches_oracle():

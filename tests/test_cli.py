@@ -233,22 +233,33 @@ class TestFailurePaths:
         assert (code, out) == (EXIT_BUDGET, "")
         assert err == "error: 2x3 census passed its time limit in the rule pass\n"
 
-    @pytest.mark.parametrize("limit, argv", [
-        # the partition listing recurses once per part: 1200 deep
-        (1000, ("restrict", "1", "1200", "1200", "--max-ab", "1200")),
-        # the query's pull recurses once per block
-        (100, ("multiplicity", "1", "120", "120", "--max-ab", "120")),
-    ])
-    def test_deep_recursion_is_bad_input(self, limit, argv):
+    @staticmethod
+    def run_limited(limit, argv):
+        """The CLI in a fresh interpreter under the given recursion limit."""
         env = dict(os.environ,
                    PYTHONPATH=os.path.dirname(os.path.dirname(foulkes.__file__)))
         script = ("import sys; from foulkes.cli import main; "
                   "sys.setrecursionlimit(int(sys.argv[1])); sys.exit(main(sys.argv[2:]))")
-        done = subprocess.run([sys.executable, "-c", script, str(limit), *argv], env=env,
+        return subprocess.run([sys.executable, "-c", script, str(limit), *argv], env=env,
                               capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("limit, argv", [
+        # the query's pull recurses once per block: 1200 deep
+        (1000, ("multiplicity", "1", "1200", "1200", "--max-ab", "1200")),
+        (100, ("multiplicity", "1", "120", "120", "--max-ab", "120")),
+    ])
+    def test_deep_recursion_is_bad_input(self, limit, argv):
+        done = self.run_limited(limit, argv)
         assert (done.returncode, done.stdout) == (EXIT_INPUT, "")
         assert done.stderr == (f"error: {argv[0]}: input too large, it ran past "
                                f"Python's recursion limit of {limit}\n")
+
+    def test_listing_does_not_recurse(self):
+        # a partition with 1200 parts is listed under a recursion limit of 1000
+        done = self.run_limited(1000, ("restrict", "1", "1200", "1200", "--max-ab", "1200"))
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert json.loads(done.stdout)["orbits"] == [{"lambda": ",".join(["1"] * 1200),
+                                                      "size": 1}]
 
     def test_time_limit_nan_rejected(self, capsys):
         for argv in (("decompose", "3", "4", "--jobs", "1"),

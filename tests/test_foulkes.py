@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from foulkes import cli, decomposition, symfunc
 from foulkes.bruteforce import brute_foulkes_char
 from foulkes.decomposition import (
-    DecompositionTable,
     FoulkesShape,
     GeneralizedShape,
     decompose,
@@ -20,7 +19,7 @@ from foulkes.decomposition import (
 from foulkes.partitions import box_partitions, enum_partitions
 from foulkes.symfunc import ComputeBudgetExceeded, inner, schur_series
 from oracles import oracle_weyl_multiplicities
-from strats import partitions, small_shapes
+from strats import small_shapes
 
 
 class TestShapes:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,7 +25,12 @@ from foulkes.partitions import (
 from foulkes import characters
 from foulkes.characters import mn_char
 from foulkes.symfunc import h_series, inner, multiply, plethysm_power, schur_series
-from oracles import oracle_strip_additions, oracle_strip_removals
+from oracles import (
+    oracle_partitions,
+    oracle_ribbon_strips,
+    oracle_strip_additions,
+    oracle_strip_removals,
+)
 from strats import partitions
 
 from math import factorial
@@ -139,11 +146,15 @@ class TestEnumeration:
             out = enum_partitions(n)
             assert out == sorted(out, reverse=True)
 
+    def test_listing_matches_oracle(self):
+        for n in range(31):
+            assert enum_partitions(n) == oracle_partitions(n), n
+
     @given(st.integers(0, 14), st.integers(0, 6), st.integers(0, 6))
     def test_bounds_filter(self, n, parts, part):
         bounded = enum_partitions(n, max_parts=parts, max_part=part)
         brute = [
-            lam for lam in enum_partitions(n)
+            lam for lam in oracle_partitions(n)
             if len(lam) <= parts and all(p <= part for p in lam)
         ]
         assert bounded == brute
@@ -343,6 +354,26 @@ class TestRibbonStrips:
                             assert {(nu, h % 2) for nu, h in forced} == kept, \
                                 (lam, beads, k, n)
                             assert len(forced) == len(kept)
+
+    def test_strips_match_step_vector_oracle(self):
+        # as multisets of (shape, height): two strips onto one shape with
+        # opposite signs cancel in the signed sum above, but not here. The
+        # heights agree exactly, not only in parity, because removals move
+        # the lowest beads first and additions the highest, so each bead
+        # passed is a pair the strip swaps.
+        for weight in range(11):
+            for lam in oracle_partitions(weight):
+                for beads in range(len(lam), len(lam) + 4):
+                    state = to_abacus(lam, beads)
+                    for k in range(1, weight + 4):
+                        for n in range(4):
+                            for delta, floor in ((k, False), (-k, False), (-k, True)):
+                                made = Counter(
+                                    (from_abacus(moved), height) for moved, height
+                                    in ribbon_strips(state, delta, n, floor))
+                                expected = Counter(
+                                    oracle_ribbon_strips(lam, beads, delta, n, floor))
+                                assert made == expected, (lam, beads, delta, n, floor)
 
     def test_zero_strips_is_the_identity(self):
         for delta in (-2, 2):

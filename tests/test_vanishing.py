@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import foulkes
-from foulkes import vanishing
+from foulkes import decomposition, symfunc, vanishing
 from foulkes.decomposition import (
     FoulkesShape,
     GeneralizedShape,
@@ -20,7 +20,6 @@ from foulkes.decomposition import (
 from foulkes.partitions import enum_partitions
 from foulkes.symfunc import ComputeBudgetExceeded
 from foulkes.vanishing import (
-    CensusReport,
     Discrepancy,
     Rule,
     Verdict,
@@ -248,6 +247,32 @@ class TestCensus:
     def test_claim_miss_raises_naming_the_board(self, false_hook_claim):
         with pytest.raises(ArithmeticError, match=r"^2x3 census: rule hook predicts 0 "
                                                   r"for lambda=6; exact multiplicity is 1$"):
+            census(2, 3)
+
+    def test_lists_only_shapes_within_b_rows(self, monkeypatch):
+        listing = decomposition.enum_partitions
+        bounds = []
+
+        def spy(n, max_parts=None, max_part=None):
+            bounds.append(max_parts)
+            return listing(n, max_parts, max_part)
+
+        monkeypatch.setattr(decomposition, "enum_partitions", spy)
+        report = census(2, 7)
+        assert bounds == [7]
+        assert (report.total, report.zero, report.predicted) == (105, 90, 54)
+
+    def test_table_must_account_for_every_set_partition(self, monkeypatch):
+        expand = symfunc.plethysm_h_expansion
+
+        def off_by_one(*args, **kwargs):
+            out = expand(*args, **kwargs)
+            out[(6,)] += 1
+            return out
+
+        monkeypatch.setattr(symfunc, "plethysm_h_expansion", off_by_one)
+        with pytest.raises(ArithmeticError, match=r"^2x3 table: sum of mult \* dim is 16, "
+                                                  r"not \|Omega\| = 15$"):
             census(2, 3)
 
     @pytest.mark.slow
