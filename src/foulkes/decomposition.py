@@ -128,9 +128,11 @@ def multiplicity(shape: FoulkesShape, lam, use_fastpath: bool = True) -> int:
     """Multiplicity of the irreducible indexed by lam in the Foulkes character.
 
     The fast path answers zero when lam fails to dominate the all-blocks-equal
-    shape (a^b), which covers every shape with more rows than blocks, and
-    prunes the pull recursion the same way (symfunc.plethysm_h_pull). Pass
-    use_fastpath=False to run the recursion unpruned.
+    shape (a^b), which happens exactly when lam has more rows than blocks.
+    In the pull (symfunc.plethysm_h_pull) it caps each level's rows at its
+    bead count and follows only the strips that empty the bottom rows
+    (ribbon_strips' floor pass). Pass use_fastpath=False to run the
+    recursion unpruned.
     """
     return _query(f"{shape.a}x{shape.b}", shape, lam, use_fastpath)
 

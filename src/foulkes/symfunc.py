@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import comb, factorial
 
 from foulkes.characters import mn_char
@@ -218,12 +217,10 @@ def plethysm_h_pull(blocks, prune: bool = True):
     belongs to one level, and the coefficient is T_B(lam) / prod b_i! a_i!^b_i.
 
     With prune, level t holds abacus states of t beads: a product of t
-    complete homogeneous functions has no shape with more than t rows, or
-    that fails to dominate its t blocks. So a strip must empty the bottom k
-    rows, which forces the lowest bead of each runner, the k loop stops once
-    more than a of those positions are empty, and a state that does not
-    dominate its level's blocks is zero. Without prune, states are canonical
-    (one bead per row) and every strip and state is followed. The memo is
+    complete homogeneous functions has no shape with more than t rows. So a
+    strip must empty the bottom k rows, and the one cut is ribbon_strips'
+    floor pass, which makes only those strips. Without prune, states are
+    canonical (one bead per row) and every strip is followed. The memo is
     keyed by the state alone and lives as long as the returned function.
     """
     blocks = validate_partition(blocks)
@@ -234,38 +231,22 @@ def plethysm_h_pull(blocks, prune: bool = True):
         run = run + 1 if t and blocks[t - 1] == a else 1
         levels.append((a, run, factorial(a)))
         scale *= run * factorial(a)
-    bounds = list(accumulate(blocks))
     memo = {0: 1}
-
-    def dominant(state: int) -> bool:
-        # the rows top down are the top beads less the beads below each;
-        # the last row's sum is the level's weight, so it is not compared
-        acc = 0
-        for bound, below in zip(bounds, range(state.bit_count() - 1, 0, -1)):
-            top = state.bit_length() - 1
-            state ^= 1 << top
-            acc += top - below
-            if acc < bound:
-                return False
-        return True
 
     def pull(t: int, state: int) -> int:
         total = 0
-        if not prune or dominant(state):
-            a, run, unit = levels[t]
-            weight = unit  # as in plethysm_h_expansion, with j = run
-            for k in range(1, run + 1):
-                if prune and k - (state & (1 << k) - 1).bit_count() > a:
-                    break
-                acc = 0
-                for nu, height in ribbon_strips(state, -k, a, prune):
-                    nu >>= k if prune else (~nu & nu + 1).bit_length() - 1
-                    value = memo.get(nu)
-                    if value is None:
-                        value = pull(t - k, nu)
-                    acc += -value if height % 2 else value
-                total += weight * acc
-                weight *= (run - k) * unit
+        a, run, unit = levels[t]
+        weight = unit  # as in plethysm_h_expansion, with j = run
+        for k in range(1, run + 1):
+            acc = 0
+            for nu, height in ribbon_strips(state, -k, a, prune):
+                nu >>= k if prune else (~nu & nu + 1).bit_length() - 1
+                value = memo.get(nu)
+                if value is None:
+                    value = pull(t - k, nu)
+                acc += -value if height % 2 else value
+            total += weight * acc
+            weight *= (run - k) * unit
         memo[state] = total
         return total
 

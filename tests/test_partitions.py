@@ -102,6 +102,19 @@ class TestOrders:
             sum(padded_l[: i + 1]) >= sum(padded_m[: i + 1]) for i in range(width))
         assert dominates(lam, mu) == expected
 
+    def test_dominating_a_rectangle_is_the_row_cap(self):
+        # prefix averages of a descending sequence are at least its mean, so
+        # a partition of ab with at most b rows dominates (a^b); so on one
+        # block size the pull needs no dominance test beside its row cap
+        for n in range(25):
+            shapes = enum_partitions(n)
+            for a in range(1, n + 1):
+                if n % a:
+                    continue
+                b = n // a
+                for lam in shapes:
+                    assert dominates(lam, (a,) * b) == (len(lam) <= b), (a, b, lam)
+
     def test_containment_counts_extra_rows(self):
         assert not fits_inside((1, 1, 1), (2, 2))
         assert fits_inside((2, 1), (2, 2))

@@ -209,7 +209,8 @@ class TestPlethysmPull:
                 for lam in enum_partitions(a * b):
                     assert pull(lam) == table.get(lam, 0), (a, b, prune, lam)
 
-    @pytest.mark.parametrize("blocks", [(3, 2, 2, 1), (4, 2, 1, 1), (2, 2, 2, 1, 1)])
+    @pytest.mark.parametrize("blocks", [(3, 2, 2, 1), (4, 2, 1, 1), (2, 2, 2, 1, 1),
+                                        (5, 1, 1, 1, 1, 1)])
     def test_products_match_the_power_sum_route(self, blocks):
         product = h_series(0)
         for size in sorted(set(blocks), reverse=True):
